@@ -63,22 +63,27 @@ class CellPartition:
         return self.k // self.n_cells
 
 
+def _equal_cells(t: OffsetTuple, n_cells: int, hint: str = "") -> tuple[OffsetTuple, ...]:
+    """t split into n_cells contiguous cells of k / n_cells offsets each;
+    hint is appended to the error when n_cells does not divide k."""
+    if t.k % n_cells:
+        raise ParameterConditionError(
+            f"cell count {n_cells} does not divide k = {t.k}{hint}"
+        )
+    size = t.k // n_cells
+    return tuple(
+        OffsetTuple(t.offsets[i * size : (i + 1) * size]) for i in range(n_cells)
+    )
+
+
 def partition_tuple(offsets, theta: float, m: int) -> CellPartition:
     """Split sorted offsets into a*m + 1 contiguous equal-size cells."""
     t = as_tuple(offsets)
     a, n_cells = _cell_count_for(theta, m)
-    if t.k % n_cells:
-        lower = (t.k // n_cells) * n_cells
-        upper = lower + n_cells
-        nearest = lower if lower > 0 and t.k - lower <= upper - t.k else upper
-        raise ParameterConditionError(
-            f"cell count {n_cells} does not divide k = {t.k}; "
-            f"nearest valid k is {nearest}"
-        )
-    size = t.k // n_cells
-    cells = tuple(
-        OffsetTuple(t.offsets[i * size : (i + 1) * size]) for i in range(n_cells)
-    )
+    lower = (t.k // n_cells) * n_cells
+    upper = lower + n_cells
+    nearest = lower if lower > 0 and t.k - lower <= upper - t.k else upper
+    cells = _equal_cells(t, n_cells, f"; nearest valid k is {nearest}")
     return CellPartition(offsets=t, m=m, cells=cells, theta=theta, a=a)
 
 
@@ -93,15 +98,7 @@ def split_into_cells(offsets, n_cells: int, m: int = 1) -> CellPartition:
         raise ParameterConditionError(f"n_cells must be >= 1, got {n_cells}")
     if m < 1:
         raise ParameterConditionError(f"m must be >= 1, got {m}")
-    if t.k % n_cells:
-        raise ParameterConditionError(
-            f"cell count {n_cells} does not divide k = {t.k}"
-        )
-    size = t.k // n_cells
-    cells = tuple(
-        OffsetTuple(t.offsets[i * size : (i + 1) * size]) for i in range(n_cells)
-    )
-    return CellPartition(offsets=t, m=m, cells=cells)
+    return CellPartition(offsets=t, m=m, cells=_equal_cells(t, n_cells))
 
 
 @dataclass(frozen=True)
@@ -160,6 +157,28 @@ class SingletonScan:
         return csv_lines(header, rows)
 
 
+def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue, budget):
+    """Positions n in [lo, hi] (n = residue mod modulus when modulus is
+    given) and the primes among n + h per cell: per_cell[j, i] counts cell
+    j at ns[i]."""
+    if lo < 1 or hi < lo:
+        raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi - lo > budget:
+        raise ResourceBudgetError(f"scan span {hi - lo} exceeds budget {budget}")
+    max_h = part.offsets.offsets[-1]
+    table = sieve_range(lo, hi + max_h + 1)
+    if modulus:
+        start = lo + (residue - lo) % modulus
+        ns = np.arange(start, hi + 1, modulus, dtype=np.int64)
+    else:
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+    per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
+    for j, cell in enumerate(part.cells):
+        for h in cell:
+            per_cell[j] += table.is_prime[ns + h - table.lo]
+    return ns, per_cell
+
+
 def scan_singleton_cells(
     part: CellPartition,
     lo: int,
@@ -172,23 +191,7 @@ def scan_singleton_cells(
     """All n in [lo, hi] with at least min_singletons cells holding exactly
     one prime.  Pass modulus (and residue) to restrict n to a residue class.
     """
-    if lo < 1 or hi < lo:
-        raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi - lo > budget:
-        raise ResourceBudgetError(f"scan span {hi - lo} exceeds budget {budget}")
-    max_h = part.offsets.offsets[-1]
-    table = sieve_range(lo, hi + max_h + 1)
-    if modulus:
-        start = lo + (residue - lo) % modulus
-        ns = np.arange(start, hi + 1, modulus, dtype=np.int64)
-    else:
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-    if len(ns) == 0:
-        return SingletonScan(lo, hi, min_singletons, bool(modulus), (), ())
-    per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
-    for j, cell in enumerate(part.cells):
-        for h in cell:
-            per_cell[j] += table.is_prime[ns + h - table.lo]
+    ns, per_cell = _cell_count_matrix(part, lo, hi, modulus, residue, budget)
     singles = (per_cell == 1).sum(axis=0)
     keep = np.flatnonzero(singles >= min_singletons)
     return SingletonScan(
@@ -249,25 +252,8 @@ def cell_statistic_sum(
     cells at that n.  weight_fn(n) -> w multiplies each term by w^2 and
     marks the report as a weighted substitute.
     """
-    if lo < 1 or hi < lo:
-        raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi - lo > budget:
-        raise ResourceBudgetError(f"scan span {hi - lo} exceeds budget {budget}")
-    max_h = part.offsets.offsets[-1]
-    table = sieve_range(lo, hi + max_h + 1)
-    if modulus:
-        start = lo + (residue - lo) % modulus
-        ns = np.arange(start, hi + 1, modulus, dtype=np.int64)
-    else:
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
+    ns, per_cell = _cell_count_matrix(part, lo, hi, modulus, residue, budget)
     label = "indicator form; original weighting out of scope"
-    if len(ns) == 0:
-        return CellStatReport(lo, hi, part.m, 0.0, 0, None, weight_fn is not None,
-                              label)
-    per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
-    for j, cell in enumerate(part.cells):
-        for h in cell:
-            per_cell[j] += table.is_prime[ns + h - table.lo]
     occupied = (per_cell > 0).sum(axis=0)
     pairs = (per_cell * (per_cell - 1)).sum(axis=0)
     stat = occupied - part.m - pairs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
+import decimal
 import os
 import sys
 
@@ -28,19 +28,17 @@ from .tuples import as_tuple, is_admissible
 
 
 def sci_int(text: str) -> int:
-    """Integer argument, scientific notation allowed (1e7 -> 10000000)."""
+    """Integer argument, scientific notation allowed (1e7 -> 10000000).
+    Parsed exactly: 10.7 or 1000000.4 is rejected, never rounded."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        v = float(text)
-    except ValueError:
+        v = decimal.Decimal(text)
+    except decimal.InvalidOperation:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    iv = int(round(v))
-    if not math.isfinite(v) or abs(v - iv) > 1e-6 * max(1.0, abs(v)):
+    if not v.is_finite() or v != v.to_integral_value():
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    return iv
+    if v.adjusted() >= 4300:  # int() refuses longer digit strings as well
+        raise argparse.ArgumentTypeError(f"{text!r} has over 4300 digits")
+    return int(v)
 
 
 def positive_sci_int(text: str) -> int:

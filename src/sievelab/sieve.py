@@ -5,13 +5,20 @@ mu-signed values of a multivariate test function evaluated at the points
 log d_i / log R.  Three implementations coexist on purpose: a per-n
 divisor-walk (`weight`), a definitional oracle (`naive_weight`), and a
 vectorized path that enumerates the divisor tuples once globally and adds
-each coefficient along its arithmetic progression (`weight_array`).  The
-moment sums, the two-parameter domination check, and the mirrored-window
-scan are built on top.
+each coefficient along its arithmetic progression (`weight_array`).  All
+three read one `Support` (Moebius table, divisors, support primes and the
+nonzero divisor tuples), built once per (R, W, params) and cached.  Its
+tuple count is exact, so a refusal (ResourceBudgetError, CLI exit code 3)
+names the number of tuples the enumeration would visit.  The moment sums,
+the two-parameter domination check, and the mirrored-window scan are built
+on top.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,11 +26,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterConditionError, ResourceBudgetError
-from .primes import primorial, sieve_range
+from .primes import _small_primes, primorial, sieve_range
 from .tuples import OffsetTuple, as_tuple, is_admissible, mirror_union
 from .variational import KernelParams
 
 MAX_SUPPORT_TUPLES = 5_000_000
+SUPPORT_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,11 @@ class SieveConfig:
     @property
     def k(self) -> int:
         return self.offsets.k
+
+    @property
+    def support(self) -> Support:
+        """The cached Support of (R, W, params); see build_support."""
+        return build_support(self.R, self.W, self.params)
 
     def as_dict(self) -> dict:
         return {
@@ -153,80 +166,91 @@ def test_function_value(params: KernelParams, ts) -> float:
     return val
 
 
-_SUPPORT_CACHE: dict[tuple[int, int], tuple] = {}
+@dataclass(frozen=True, eq=False)
+class Support:
+    """The divisor support of the weight for one (R, W, params).
 
-
-def support_divisors(R: int, W: int) -> tuple:
-    """Ascending squarefree integers in [1, R] coprime to W (1 included)."""
-    key = (R, W)
-    if key not in _SUPPORT_CACHE:
-        table = sieve_range(2, R + 1, want_spf=True) if R >= 2 else None
-        out = [1]
-        for d in range(2, R + 1):
-            if math.gcd(d, W) != 1:
-                continue
-            m, squarefree = d, True
-            while m > 1:
-                p = table.spf_at(m)
-                m //= p
-                if m % p == 0:
-                    squarefree = False
-                    break
-            if squarefree:
-                out.append(d)
-        _SUPPORT_CACHE[key] = tuple(out)
-    return _SUPPORT_CACHE[key]
-
-
-def _mu_squarefree(d: int, table) -> int:
-    """Moebius value of a squarefree d via its distinct prime count."""
-    count = 0
-    while d > 1:
-        p = table.spf_at(d)
-        while d % p == 0:
-            d //= p
-        count += 1
-    return -1 if count % 2 else 1
-
-
-def lambda_tuples(cfg: SieveConfig) -> list[tuple[tuple[int, ...], float]]:
-    """All divisor tuples carrying a nonzero coefficient, with the values.
-
-    Enumerates d in the support set per coordinate, pruning on the running
-    product bound prod(d) <= R; tuples whose test-function value vanishes
-    (coordinate beyond its cap, or capped sum) are dropped.
+    mu is the Moebius function on [0, R], read-only and zero off the
+    support (d not squarefree, or sharing a prime with W).  divisors are
+    the d with mu[d] != 0 in ascending order (1 included), primes the
+    primes <= R not dividing W.  visits is the exact number of ordered
+    k-tuples of divisors with product <= R, which the enumeration walks;
+    tuples holds those with a nonzero coefficient, in enumeration order.
     """
-    divisors = support_divisors(cfg.R, cfg.W)
-    if len(divisors) ** min(cfg.k, 3) > MAX_SUPPORT_TUPLES:
+
+    mu: np.ndarray
+    divisors: tuple[int, ...]
+    primes: tuple[int, ...]
+    visits: int
+    tuples: tuple[tuple[tuple[int, ...], float], ...]
+
+
+@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
+def build_support(R: int, W: int, params: KernelParams) -> Support:
+    """The Support of (R, W, params), built once and cached.
+
+    The enumeration takes d from the divisors per coordinate, pruning on
+    the running product bound prod(d) <= R, and drops tuples whose
+    test-function value vanishes (coordinate beyond its cap, or capped
+    sum).  Before it starts, the tuples it would visit are counted (the
+    last coordinate by bisection, each (slots, bound) pair once), and a
+    count over MAX_SUPPORT_TUPLES raises ResourceBudgetError.
+    """
+    small = _small_primes(R).tolist()
+    mu = np.ones(R + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in small:
+        if W % p == 0:
+            mu[::p] = 0
+        else:
+            mu[::p] *= -1
+            mu[:: p * p] = 0
+    mu.flags.writeable = False
+    divisors = tuple(np.flatnonzero(mu).tolist())
+
+    @functools.cache
+    def count(slots: int, bound: int) -> int:
+        top = bisect.bisect_right(divisors, bound)
+        if slots == 1:
+            return top
+        return sum(count(slots - 1, bound // d) for d in divisors[:top])
+
+    visits = count(params.k, R)
+    if visits > MAX_SUPPORT_TUPLES:
         raise ResourceBudgetError(
-            f"support of {len(divisors)} divisors to the power {cfg.k} "
-            "exceeds the tuple enumeration budget"
+            f"the divisor-tuple enumeration would visit {visits} tuples, over "
+            f"MAX_SUPPORT_TUPLES = {MAX_SUPPORT_TUPLES}; lower --delta "
+            f"(R = {R}) or the tuple size (k = {params.k})"
         )
-    table = sieve_range(2, cfg.R + 1, want_spf=True) if cfg.R >= 2 else None
-    log_r = math.log(cfg.R)
+    log_r = math.log(R)
+    mu_of = mu.tolist()
     out = []
-    tup = [1] * cfg.k
-    ts = [0.0] * cfg.k
+    tup = [1] * params.k
+    ts = [0.0] * params.k
 
     def rec(i, prod, sign):
-        if len(out) > MAX_SUPPORT_TUPLES:
-            raise ResourceBudgetError("tuple enumeration budget exceeded")
-        if i == cfg.k:
-            val = test_function_value(cfg.params, ts)
+        if i == params.k:
+            val = test_function_value(params, ts)
             if val != 0.0:
                 out.append((tuple(tup), sign * val))
             return
         for d in divisors:
-            if prod * d > cfg.R:
+            if prod * d > R:
                 break
             tup[i] = d
-            ts[i] = math.log(d) / log_r
-            rec(i + 1, prod * d, sign if d == 1 else sign * _mu_squarefree(d, table))
+            ts[i] = math.log(d) / log_r if d > 1 else 0.0
+            rec(i + 1, prod * d, sign * mu_of[d])
         tup[i] = 1
         ts[i] = 0.0
 
     rec(0, 1, 1)
-    return out
+    support_primes = tuple(p for p in small if W % p)
+    return Support(mu, divisors, support_primes, visits, tuple(out))
+
+
+def lambda_tuples(cfg: SieveConfig) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """All divisor tuples carrying a nonzero coefficient, with the values."""
+    return cfg.support.tuples
 
 
 def lambda_coeff(cfg: SieveConfig, d) -> float:
@@ -239,22 +263,9 @@ def lambda_coeff(cfg: SieveConfig, d) -> float:
         raise ParameterConditionError(f"expected {cfg.k} divisors, got {len(d)}")
     if any(v < 1 for v in d):
         raise ParameterConditionError("divisors must be >= 1")
-    prod = math.prod(d)
-    if prod > cfg.R or math.gcd(prod, cfg.W) != 1:
+    if math.prod(d) > cfg.R:
         return 0.0
-    sign = 1
-    table = sieve_range(2, max(d) + 1, want_spf=True) if max(d) >= 2 else None
-    for v in d:
-        if v == 1:
-            continue
-        m, count = v, 0
-        while m > 1:
-            p = table.spf_at(m)
-            m //= p
-            if m % p == 0:
-                return 0.0  # not squarefree
-            count += 1
-        sign *= -1 if count % 2 else 1
+    sign = math.prod(int(cfg.support.mu[v]) for v in d)
     log_r = math.log(cfg.R)
     ts = [math.log(v) / log_r for v in d]
     return sign * test_function_value(cfg.params, ts)
@@ -262,7 +273,6 @@ def lambda_coeff(cfg: SieveConfig, d) -> float:
 
 def _distinct_support_primes(m: int, cfg: SieveConfig, table) -> list[int]:
     """Distinct primes of m that are <= R and coprime to W."""
-    out = []
     # spf walking needs every quotient in range, hence the lo <= 2 condition
     if (
         table is not None
@@ -270,22 +280,8 @@ def _distinct_support_primes(m: int, cfg: SieveConfig, table) -> list[int]:
         and table.lo <= 2
         and m < table.hi
     ):
-        for p in table.distinct_primes(m):
-            if p <= cfg.R and cfg.W % p != 0:
-                out.append(p)
-        return out
-    # trial fallback for values outside any prepared table
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            if p <= cfg.R and cfg.W % p != 0:
-                out.append(p)
-        p += 1 if p == 2 else 2
-    if m > 1 and m <= cfg.R and cfg.W % m != 0:
-        out.append(m)
-    return out
+        return [p for p in table.distinct_primes(m) if p <= cfg.R and cfg.W % p != 0]
+    return [p for p in cfg.support.primes if m % p == 0]
 
 
 def weight(cfg: SieveConfig, n: int, table=None, coord_factor=None) -> float:
@@ -341,24 +337,18 @@ def naive_weight(cfg: SieveConfig, n: int) -> float:
     """Definitional oracle: scan all candidate divisors of each n + h_i by
     remainder tests and sum the coefficients tuple by tuple.  Slow on
     purpose; keep ranges small."""
-    import itertools
-
     entries = [n + h for h in cfg.offsets]
     if any(m < 1 for m in entries):
         raise ParameterConditionError(f"n + h must be >= 1; n = {n}")
-    divisors = support_divisors(cfg.R, cfg.W)
-    table = sieve_range(2, cfg.R + 1, want_spf=True) if cfg.R >= 2 else None
-    mu = {1: 1}
-    for d in divisors[1:]:
-        mu[d] = _mu_squarefree(d, table)
+    sup = cfg.support
     log_r = math.log(cfg.R)
-    per_coord = [[d for d in divisors if m % d == 0] for m in entries]
+    per_coord = [[d for d in sup.divisors if m % d == 0] for m in entries]
     total = 0.0
     for tup in itertools.product(*per_coord):
         prod = math.prod(tup)
         if prod > cfg.R:
             continue
-        sign = math.prod(mu[d] for d in tup)
+        sign = math.prod(int(sup.mu[d]) for d in tup)
         ts = [math.log(d) / log_r for d in tup]
         total += sign * test_function_value(cfg.params, ts)
     return total
@@ -384,41 +374,30 @@ def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
     congruences n = -h_i mod d_i once and adds its coefficient along the
     resulting progression.
     """
-    if hi < lo:
-        step = cfg.W if restrict else 1
-        return lo, step, np.zeros(0)
-    tuples = lambda_tuples(cfg)
     if restrict:
         step = cfg.W
         start = lo + (cfg.b0 - lo) % cfg.W
-        count = (hi - start) // cfg.W + 1 if start <= hi else 0
     else:
         step = 1
         start = lo
-        count = hi - lo + 1
-    w = np.zeros(max(count, 0))
-    if count <= 0:
+    w = np.zeros(max((hi - start) // step + 1, 0))
+    if len(w) == 0:
         return start, step, w
-    for dt, lam in tuples:
+    for dt, lam in lambda_tuples(cfg):
         a, m = (cfg.b0, cfg.W) if restrict else (0, 1)
-        ok = True
         for d, h in zip(dt, cfg.offsets):
             if d == 1:
                 continue
             merged = _crt_merge(a, m, (-h) % d, d)
             if merged is None:
-                ok = False
                 break
             a, m = merged
-        if not ok:
-            continue
-        # positions j with start + j*step = a (mod m); step divides m here
-        stride = m // step
-        first = ((a - start) // step) % stride if (a - start) % step == 0 else None
-        if first is None:
-            # grid class and solution class are disjoint
-            continue
-        w[first::stride] += lam
+        else:
+            # positions j with start + j*step = a (mod m): step divides m,
+            # and a = start (mod step) since both are b0 mod W when restricted
+            stride = m // step
+            first = (a - start) // step % stride
+            w[first::stride] += lam
     return start, step, w
 
 
@@ -533,9 +512,6 @@ def moment_sums(
             f"window span {hi - lo} exceeds the budget of {budget}"
         )
     k = cfg.k
-    if hi < lo:
-        empty = tuple([0.0] * k for _ in range(k))
-        return MomentReport(lo, hi, restrict, 0, 0.0, tuple([0.0] * k), empty)
     lambda_tuples(cfg)  # touch the cache before any threads fork
     bounds = list(range(lo, hi + 1, segment_size)) + [hi + 1]
     jobs = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]

@@ -47,12 +47,17 @@ class TestArgumentTypes:
         assert sci_int("123") == 123
         assert sci_int("1e7") == 10**7
         assert sci_int("2.5e3") == 2500
+        assert sci_int("1e23") == 10**23  # exact, not float-rounded
 
     def test_sci_int_rejects_fractional(self):
         with pytest.raises(argparse.ArgumentTypeError):
             sci_int("1e3.5")
         with pytest.raises(argparse.ArgumentTypeError):
             sci_int("10.7")
+        with pytest.raises(argparse.ArgumentTypeError):
+            sci_int("12345678.9")
+        with pytest.raises(argparse.ArgumentTypeError):
+            sci_int("1000000.4")
 
     def test_positive_sci_int(self):
         assert positive_sci_int("1e2") == 100
@@ -111,6 +116,26 @@ class TestExitCodes:
     def test_resource_budget_exit_3(self):
         code, _, err = run_cli(["density", "--limit", "1e10"])
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize("offsets", ["0,4,6,10,16,22,24,30", "0,4,6,10,12,16"])
+    def test_wide_tuple_configs_run(self, offsets):
+        # an estimate of 314^3 divisor tuples used to refuse these with
+        # exit code 3; the exact counts are 8,049 and 4,839
+        code, out, err = run_cli(
+            ["sieve", "--N", "1e7", "--delta", "0.45", "--tuple", offsets]
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("10000000,0.45,")
+
+    def test_tuple_budget_refusal_names_count_and_limit(self, monkeypatch):
+        monkeypatch.setattr(sieve, "MAX_SUPPORT_TUPLES", 4838)
+        sieve.build_support.cache_clear()
+        code, _, err = run_cli(
+            ["sieve", "--N", "1e7", "--delta", "0.45", "--tuple", "0,4,6,10,12,16"]
+        )
+        assert code == 3
+        assert "4839 tuples" in err and "MAX_SUPPORT_TUPLES = 4838" in err
+        assert "--delta" in err
 
     def test_invariant_violation_exit_5(self, monkeypatch):
         def boom(*a, **kw):

@@ -2,6 +2,7 @@
 definitional oracles, moment-sum accounting, the two-parameter domination
 check, and the mirrored-window scan."""
 
+import itertools
 import math
 
 import numpy as np
@@ -127,12 +128,31 @@ class TestSupportAndCoeffs:
             out.append(d)
         return tuple(out)
 
+    def brute_mu(self, d, W):
+        """Moebius by trial division, zero where d shares a prime with W."""
+        if d == 0 or math.gcd(d, W) != 1:
+            return 0
+        sign, q = 1, 2
+        while q * q <= d:
+            if d % q == 0:
+                d //= q
+                if d % q == 0:
+                    return 0
+                sign = -sign
+            q += 1
+        return -sign if d > 1 else sign
+
     def test_support_against_brute(self):
+        p = KernelParams(k=1, base=1.1, slope=3.0, cutoff=0.9)
         for R, W in [(30, 210), (130, 210), (60, 30), (200, 2310), (1, 210)]:
-            assert sieve.support_divisors(R, W) == self.brute_support(R, W)
+            sup = sieve.build_support(R, W, p)
+            assert sup.divisors == self.brute_support(R, W)
+            assert sup.mu.tolist() == [self.brute_mu(d, W) for d in range(R + 1)]
+            assert not sup.mu.flags.writeable
 
     def test_support_excludes_squares(self):
-        sup = sieve.support_divisors(130, 210)
+        p = KernelParams(k=1, base=1.1, slope=3.0, cutoff=0.9)
+        sup = sieve.build_support(130, 210, p).divisors
         assert 121 not in sup and 11 in sup and 143 not in sup  # 143 > 130
 
     def test_coeff_zero_outside_support(self):
@@ -140,7 +160,7 @@ class TestSupportAndCoeffs:
         assert sieve.lambda_coeff(cfg, (4, 1, 1)) == 0.0  # not squarefree
         assert sieve.lambda_coeff(cfg, (cfg.R + 1, 1, 1)) == 0.0  # beyond R
         assert sieve.lambda_coeff(cfg, (7, 1, 1)) == 0.0  # shares a factor with W
-        big = sieve.support_divisors(cfg.R, cfg.W)[-1]
+        big = cfg.support.divisors[-1]
         assert sieve.lambda_coeff(cfg, (big, big, 1)) == 0.0  # product beyond R
 
     def test_coeff_sign_follows_moebius(self):
@@ -163,14 +183,33 @@ class TestSupportAndCoeffs:
         for tup, lam in list(enum.items())[::5]:
             assert sieve.lambda_coeff(cfg, tup) == pytest.approx(lam, rel=1e-14)
 
-    def test_enumeration_budget(self):
+    def test_visit_count_is_exact(self):
+        cfg = rich_config()
+        divisors = cfg.support.divisors
+        brute = sum(
+            1
+            for tup in itertools.product(divisors, repeat=cfg.k)
+            if math.prod(tup) <= cfg.R
+        )
+        assert cfg.support.visits == brute
+
+    def test_enumeration_budget(self, monkeypatch):
+        # R = 10^5, k = 3 visits 183,290 tuples: under the default limit
         p = KernelParams(k=3, base=1.01, slope=1.0, cutoff=3.0)
-        with pytest.raises(ResourceBudgetError):
-            cfg = sieve.SieveConfig(
-                N=10**15, delta=0.33, R=10**5, w_bound=7, W=210, b0=11,
-                offsets=sieve.as_tuple((0, 2, 6)), params=p,
-            )
+        cfg = sieve.SieveConfig(
+            N=10**15, delta=0.33, R=10**5, w_bound=7, W=210, b0=11,
+            offsets=sieve.as_tuple((0, 2, 6)), params=p,
+        )
+        sieve.build_support.cache_clear()
+        monkeypatch.setattr(sieve, "MAX_SUPPORT_TUPLES", 183_289)
+        with pytest.raises(ResourceBudgetError) as err:
             sieve.lambda_tuples(cfg)
+        msg = str(err.value)
+        assert "183290" in msg and "MAX_SUPPORT_TUPLES = 183289" in msg
+        assert "--delta" in msg and "tuple size" in msg
+        monkeypatch.setattr(sieve, "MAX_SUPPORT_TUPLES", 183_290)
+        assert cfg.support.visits == 183_290
+        assert len(sieve.lambda_tuples(cfg)) > 0
 
     def test_coeff_arity_and_positivity_checks(self):
         cfg = rich_config()
@@ -184,12 +223,16 @@ class TestWeightPaths:
     def check_window(self, cfg, lo, hi, restrict):
         start, step, w = sieve.weight_array(cfg, lo, hi, restrict=restrict)
         assert len(w) > 0
+        # the table-free call factors over the support primes, the other
+        # walks the spf table; both must give the same prime lists
+        table = sieve_range(1, hi + cfg.offsets.offsets[-1] + 1, want_spf=True)
         for j in range(len(w)):
             n = start + j * step
             direct = sieve.weight(cfg, n)
             naive = sieve.naive_weight(cfg, n)
             assert direct == pytest.approx(w[j], abs=1e-12)
             assert direct == pytest.approx(naive, abs=1e-12)
+            assert sieve.weight(cfg, n, table=table) == direct
 
     def test_three_paths_agree_restricted(self):
         self.check_window(rich_config(), 5000, 7600, restrict=True)
@@ -209,6 +252,17 @@ class TestWeightPaths:
         p = KernelParams(k=1, base=1.1, slope=2.0, cutoff=0.95)
         cfg = sieve.make_config(50000, delta=0.45, offsets=(0,), params=p)
         self.check_window(cfg, 3000, 3040, restrict=False)
+
+    @pytest.mark.parametrize("params", [
+        None,  # the CLI's default test function
+        KernelParams(k=6, base=1.1, slope=3.0, cutoff=5.7),
+    ])
+    def test_three_paths_agree_k6_roadmap_config(self, params):
+        # N = 1e7, delta = 0.45: the old tuple-budget guess refused this
+        offsets = (0, 4, 6, 10, 12, 16)
+        cfg = sieve.make_config(10**7, delta=0.45, offsets=offsets, params=params)
+        assert cfg.support.visits == 4839
+        self.check_window(cfg, 10**6, 10**6 + 20 * cfg.W, restrict=True)
 
     def test_trivial_support_gives_constant_weight(self):
         cfg = sieve.make_config(10**6)  # R=31, cap excludes every prime > 7
