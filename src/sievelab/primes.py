@@ -4,6 +4,10 @@ Segmented Eratosthenes sieving with an optional smallest-prime-factor table,
 sums-of-two-primes scans, prime-pair difference counts, and normalized prime
 gaps.  Every other module consumes these tables; nothing here knows about
 sieve weights or tuples.
+
+Both correlation kernels are exact: sums of two primes by a smallest-prime
+search, pair counts by a blocked FFT autocorrelation whose rounding is
+checked (InvariantViolationError) rather than argued.
 """
 
 from __future__ import annotations
@@ -12,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .errors import ResourceBudgetError
+from .errors import InvariantViolationError, ResourceBudgetError
 
 # Hard ceiling on table cells; sieving beyond this raises ResourceBudgetError.
 DEFAULT_SIEVE_BUDGET = 200_000_000
@@ -163,19 +166,28 @@ def sieve_range(
 def goldbach_numbers(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
     """All n <= limit expressible as a sum of two primes, ascending.
 
-    Membership is read off an FFT convolution of the prime indicator with
-    itself; counts are O(pi(limit)^2) at most, far inside float64 exactness,
-    so the >0.5 threshold is safe.
+    Odd n is such a sum exactly when n - 2 is prime.  Even n take primes
+    p in ascending order, as in Oliveira e Silva, Herzog and Pardi (Math.
+    Comp. 2014): each unresolved n >= 2p tests n - p, and an even n below
+    2p has tried every prime up to n/2, so the result is exact.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit < 4:
         return np.zeros(0, dtype=np.int64)
     table = sieve_range(0, limit + 1, budget=budget)
-    pvec = table.is_prime.astype(np.float64)
-    conv = fftconvolve(pvec, pvec)
-    reachable = conv[: limit + 1] > 0.5
-    reachable[:4] = False
+    is_p = table.is_prime
+    reachable = np.zeros(limit + 1, dtype=bool)
+    reachable[5::2] = is_p[3 : limit - 1 : 2]
+    open_n = np.arange(4, limit + 1, 2, dtype=np.int64)
+    for p in table.primes:
+        # open_n ascends: those below 2p are decided misses and drop out
+        open_n = open_n[np.searchsorted(open_n, 2 * p) :]
+        if open_n.size == 0:
+            break
+        hit = is_p[open_n - p]
+        reachable[open_n[hit]] = True
+        open_n = open_n[~hit]
     return np.flatnonzero(reachable).astype(np.int64)
 
 
@@ -222,27 +234,41 @@ def gap_counts(
     not only consecutive primes; pass consecutive_only=True to restrict to
     gaps between neighbours in the prime sequence.  The returned map has an
     entry for every m in 1..max_diff (zero when no pair exists).
+
+    All pairs correlate each SEGMENT-cell block of the prime indicator
+    with the block extended by max_diff cells, by real FFT, in O(SEGMENT +
+    max_diff) extra memory.  A value 0.25 or more from its rounded count
+    raises InvariantViolationError.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if max_diff < 1:
         raise ValueError("max_diff must be >= 1")
     table = sieve_range(0, limit + 1, budget=budget)
-    counts: dict[int, int] = {}
     if consecutive_only:
-        diffs = np.diff(table.primes)
-        vals, cnts = np.unique(diffs, return_counts=True)
+        vals, cnts = np.unique(np.diff(table.primes), return_counts=True)
         got = {int(v): int(c) for v, c in zip(vals, cnts)}
-        for m in range(1, max_diff + 1):
-            counts[m] = got.get(m, 0)
-    else:
-        mask = table.is_prime
-        for m in range(1, max_diff + 1):
-            if m >= mask.size:
-                counts[m] = 0
-            else:
-                counts[m] = int(np.count_nonzero(mask[m:] & mask[:-m]))
-    return counts
+        return {m: got.get(m, 0) for m in range(1, max_diff + 1)}
+    mask = table.is_prime
+    # no two cells of the table are more than limit apart
+    reach = min(max_diff, limit)
+    total = np.zeros(reach + 1, dtype=np.int64)
+    for lo in range(0, mask.size, SEGMENT):
+        block = mask[lo : lo + SEGMENT]
+        # the transform must hold the block plus every shift of it without
+        # wrapping, also where the extended slice is cut at the table's end
+        n = 1 << (block.size + reach - 1).bit_length()
+        spec = np.fft.rfft(mask[lo : lo + block.size + reach], n)
+        spec *= np.conj(np.fft.rfft(block, n))
+        corr = np.fft.irfft(spec, n)[: reach + 1]
+        counts = np.rint(corr)
+        worst = float(np.max(np.abs(corr - counts)))
+        if worst >= 0.25:
+            raise InvariantViolationError(
+                f"FFT pair count lies {worst:.3g} from the nearest integer"
+            )
+        total += counts.astype(np.int64)
+    return {m: int(total[m]) if m <= reach else 0 for m in range(1, max_diff + 1)}
 
 
 @dataclass

@@ -676,7 +676,9 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     scan_cfg = replace(cfg, offsets=union, params=scan_params)
     lo, hi = (N + 1) // 2, N
     start, step, w = weight_array(scan_cfg, lo, hi, restrict=False)
-    table = sieve_range(2, 2 * N + 2)
+    base = list(cfg.offsets)
+    # largest value read: n + h at n = N, or N - n - h at n = lo
+    table = sieve_range(2, max(N + base[-1], N - lo - base[0]) + 1)
 
     def prime_mask(values: np.ndarray) -> np.ndarray:
         ok = values >= 2
@@ -686,7 +688,6 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
 
     ns = np.arange(start, start + len(w), dtype=np.int64)
     k = cfg.k
-    base = list(cfg.offsets)
     hit_masks = []
     for h in base:
         hit_masks.append(prime_mask(ns + h))  # base block

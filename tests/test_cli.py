@@ -4,9 +4,14 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import sievelab
 from sievelab import __version__, cells, primes, sieve, variational
 from sievelab.cli import (
     float_list,
@@ -407,3 +412,15 @@ class TestConfigFile:
         code, out, _ = run_cli(["--config", ini, "primes", "--limit", "100", "--stats"])
         assert code == 0
         assert "prime_count,25" in out
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal was most of the start-up time of every CLI call
+    src = str(pathlib.Path(sievelab.__file__).parents[1])
+    code = "import sys, sievelab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

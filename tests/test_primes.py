@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import fftconvolve
 
-from sievelab.errors import ResourceBudgetError
+from sievelab.errors import InvariantViolationError, ResourceBudgetError
 from sievelab.primes import (
+    SEGMENT,
     GapSequence,
     gap_counts,
     goldbach_gaps,
@@ -43,6 +45,26 @@ def trial_division_mask(lo, hi):
         hit = (rem == 0) & (chunk[None, :] != ORACLE_PRIMES_1K[:, None])
         composite[start : start + 20_000] = hit.any(axis=0)
     return (n >= 2) & ~composite
+
+
+def fft_goldbach_numbers(limit):
+    """Oracle: sums of two primes read off a full FFT self-convolution of the
+    prime indicator (counts stay far inside float64 exactness)."""
+    if limit < 4:
+        return np.zeros(0, dtype=np.int64)
+    pvec = sieve_range(0, limit + 1).is_prime.astype(np.float64)
+    reachable = fftconvolve(pvec, pvec)[: limit + 1] > 0.5
+    reachable[:4] = False
+    return np.flatnonzero(reachable).astype(np.int64)
+
+
+def shift_and_gap_counts(limit, max_diff):
+    """Oracle: all-pair counts by one shifted AND of the prime mask per m."""
+    mask = sieve_range(0, limit + 1).is_prime
+    return {
+        m: int(np.count_nonzero(mask[m:] & mask[:-m])) if m < mask.size else 0
+        for m in range(1, max_diff + 1)
+    }
 
 
 def test_sieve_matches_trial_division_to_1e6():
@@ -141,6 +163,16 @@ def test_goldbach_numbers_against_brute_force():
     assert goldbach_numbers(limit).tolist() == brute
 
 
+@given(st.integers(min_value=0, max_value=600))
+@settings(max_examples=60, deadline=None)
+def test_goldbach_numbers_match_fft_oracle(limit):
+    assert np.array_equal(goldbach_numbers(limit), fft_goldbach_numbers(limit))
+
+
+def test_goldbach_numbers_match_fft_oracle_at_1e6():
+    assert np.array_equal(goldbach_numbers(10**6), fft_goldbach_numbers(10**6))
+
+
 def test_goldbach_gaps_examples():
     rep = goldbach_gaps(12)
     assert rep.max_gap == 2
@@ -163,6 +195,25 @@ def test_gap_counts_examples_and_brute_force():
             if 1 <= p - q <= 20:
                 brute[p - q] += 1
     assert gap_counts(limit, max_diff=20) == brute
+
+
+@given(st.integers(min_value=4, max_value=600), st.integers(min_value=1, max_value=700))
+@settings(max_examples=80, deadline=None)
+def test_gap_counts_match_shift_oracle(limit, max_diff):
+    assert gap_counts(limit, max_diff) == shift_and_gap_counts(limit, max_diff)
+
+
+@pytest.mark.parametrize("limit, max_diff", [(500, 20), (20, 10**6), (SEGMENT + 37, 60)])
+def test_gap_counts_match_shift_oracle_at_edges(limit, max_diff):
+    # max_diff far past the table, and pairs that cross the block edge at SEGMENT
+    assert gap_counts(limit, max_diff) == shift_and_gap_counts(limit, max_diff)
+
+
+def test_gap_counts_raise_on_inexact_transform(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a: irfft(*a) + 0.3)
+    with pytest.raises(InvariantViolationError, match="nearest integer"):
+        gap_counts(100, 10)
 
 
 def test_gap_counts_consecutive_only():

@@ -487,6 +487,25 @@ class TestGoldbachScan:
                         count += 1
         assert rep.witness_count == count
 
+    def test_table_stops_at_largest_value_read(self, monkeypatch):
+        # n + h with n <= N is the largest value read; the mirrored N - n - h
+        # stay at or below N/2, so a table over [2, 2N + 2) reports the same
+        cfg, _ = self.scan()
+        for N in (100, 2002, 20000):
+            calls = []
+
+            def spy(lo, hi, **kw):
+                calls.append((lo, hi))
+                return sieve_range(lo, hi, **kw)
+
+            monkeypatch.setattr(sieve, "sieve_range", spy)
+            rep = sieve.goldbach_window_scan(cfg, N=N)
+            assert calls == [(2, N + max(cfg.offsets) + 1)]
+            monkeypatch.setattr(
+                sieve, "sieve_range", lambda lo, hi, **kw: sieve_range(2, 2 * N + 2)
+            )
+            assert sieve.goldbach_window_scan(cfg, N=N) == rep
+
     def test_cauchy_schwarz_and_hit_accounting(self):
         _, rep = self.scan()
         assert rep.cs_holds
