@@ -136,25 +136,28 @@ def cell_prime_counts(part: CellPartition, n: int, table: PrimeTable) -> CellCou
     return CellCounts(n=n, counts=counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value for __eq__
 class SingletonScan:
-    """Positions whose cell counts meet a singleton quota, with the counts."""
+    """Positions whose cell counts meet a singleton quota, with the counts.
+
+    ns is an int64 array of the positions; counts[i, j] (int64, shape
+    (len(ns), number of cells), also when empty) counts primes in cell j
+    at ns[i].
+    """
 
     lo: int
     hi: int
     min_singletons: int
     restricted: bool
-    ns: tuple[int, ...]
-    counts: tuple[tuple[int, ...], ...]
+    ns: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ns)
 
     def csv(self) -> str:
-        n_cells = len(self.counts[0]) if self.counts else 0
-        header = ["n"] + [f"cell_{j}" for j in range(n_cells)]
-        rows = [[n, *cs] for n, cs in zip(self.ns, self.counts)]
-        return csv_lines(header, rows)
+        header = ["n"] + [f"cell_{j}" for j in range(self.counts.shape[1])]
+        return csv_lines(header, [self.ns, *self.counts.T])
 
 
 def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue, budget):
@@ -199,8 +202,8 @@ def scan_singleton_cells(
         hi=hi,
         min_singletons=min_singletons,
         restricted=bool(modulus),
-        ns=tuple(int(ns[i]) for i in keep),
-        counts=tuple(tuple(int(v) for v in per_cell[:, i]) for i in keep),
+        ns=ns[keep],
+        counts=per_cell[:, keep].T,
     )
 
 

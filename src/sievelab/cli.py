@@ -112,24 +112,22 @@ def cmd_primes(args) -> int:
     config = {"limit": args.limit, "mode": args.mode}
     if args.mode == "stats":
         table = primes.sieve_range(0, args.limit + 1)
-        rows = [
-            ["prime_count", table.count()],
-            ["largest_prime", int(table.primes[-1]) if table.count() else 0],
-        ]
-        body = csv_lines(["stat", "value"], rows)
+        largest = int(table.primes[-1]) if table.count() else 0
+        body = csv_lines(
+            ["stat", "value"],
+            [["prime_count", "largest_prime"], [table.count(), largest]],
+        )
     elif args.mode == "goldbach-gaps":
         rep = primes.goldbach_gaps(args.limit)
-        body = csv_lines(["value", "gap"], [[int(v), int(g)] for v, g in rep.pairs])
+        body = csv_lines(["value", "gap"], [rep.values[:-1], rep.gaps])
     elif args.mode == "gap-counts":
         config["max_diff"] = args.max_diff
         counts = primes.gap_counts(args.limit, args.max_diff)
-        body = csv_lines(["diff", "count"], [[m, c] for m, c in sorted(counts.items())])
+        diffs, n_pairs = np.array(sorted(counts.items()), dtype=np.int64).T
+        body = csv_lines(["diff", "count"], [diffs, n_pairs])
     else:  # normalized-gaps
         seq = primes.normalized_gaps(args.limit)
-        body = csv_lines(
-            ["p", "gap", "normalized"],
-            [[int(a), int(b), float(c)] for a, b, c in seq.entries()],
-        )
+        body = csv_lines(["p", "gap", "normalized"], [seq.p, seq.gap, seq.normalized])
     emit(args, "\n".join(config_header_lines(config)) + "\n" + body)
     return 0
 
@@ -224,7 +222,7 @@ def cmd_sieve(args) -> int:
     if args.satz:
         header = header + [f"satz_{args.satz}"]
         row = row + [rep.satz(args.satz)]
-    body = csv_lines(header, [row])
+    body = csv_lines(header, [[v] for v in row])
     emit(args, "\n".join(config_header_lines(config)) + "\n" + body)
     return 0
 
@@ -258,12 +256,10 @@ def cmd_density(args) -> int:
     payload = rep.as_dict()
     payload.pop("counts", None)  # bulky; the per-difference columns live in CSV mode
     if args.format == "csv":
+        diffs, counts = np.array(sorted(rep.counts.items()), dtype=np.int64).T
         body = csv_lines(
             ["diff", "count", "is_exception"],
-            [
-                [m, rep.counts[m], m in set(rep.exceptions)]
-                for m in sorted(rep.counts)
-            ],
+            [diffs, counts, np.isin(diffs, rep.exceptions)],
         )
         emit(args, "\n".join(config_header_lines(config)) + "\n" + body)
         return 0

@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, ResourceBudgetError
+from .reportio import csv_lines
 
 # Hard ceiling on table cells; sieving beyond this raises ResourceBudgetError.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 # Marking is done in fixed-size segments so the hot loop stays cache-sized.
 SEGMENT = 1 << 20
+# Ceiling on max_diff: gap_counts returns one map entry per difference.
+MAX_GAP_DIFF = 2_000_000
 
 
 def _small_primes(limit: int) -> np.ndarray:
@@ -233,17 +236,25 @@ def gap_counts(
     By default every pair (p, p') with p - p' = m and p <= limit is counted,
     not only consecutive primes; pass consecutive_only=True to restrict to
     gaps between neighbours in the prime sequence.  The returned map has an
-    entry for every m in 1..max_diff (zero when no pair exists).
+    entry for every m in 1..max_diff (zero when no pair exists), so
+    max_diff over MAX_GAP_DIFF raises ResourceBudgetError.
 
-    All pairs correlate each SEGMENT-cell block of the prime indicator
-    with the block extended by max_diff cells, by real FFT, in O(SEGMENT +
-    max_diff) extra memory.  A value 0.25 or more from its rounded count
-    raises InvariantViolationError.
+    All pairs correlate blocks of the prime indicator with the block
+    extended by max_diff cells, by real FFT of one power-of-two length n,
+    the first at or above SEGMENT (or the table, if shorter) + max_diff.
+    Each block holds n - max_diff cells, so a transform holds no padding
+    beyond the shifts.  Extra memory is O(SEGMENT + max_diff).  A value
+    0.25 or more from its rounded count raises InvariantViolationError.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if max_diff < 1:
         raise ValueError("max_diff must be >= 1")
+    if max_diff > MAX_GAP_DIFF:
+        raise ResourceBudgetError(
+            f"max_diff {max_diff} asks for that many pair counts, over the "
+            f"cap MAX_GAP_DIFF = {MAX_GAP_DIFF}; lower --max-diff"
+        )
     table = sieve_range(0, limit + 1, budget=budget)
     if consecutive_only:
         vals, cnts = np.unique(np.diff(table.primes), return_counts=True)
@@ -253,11 +264,11 @@ def gap_counts(
     # no two cells of the table are more than limit apart
     reach = min(max_diff, limit)
     total = np.zeros(reach + 1, dtype=np.int64)
-    for lo in range(0, mask.size, SEGMENT):
-        block = mask[lo : lo + SEGMENT]
-        # the transform must hold the block plus every shift of it without
-        # wrapping, also where the extended slice is cut at the table's end
-        n = 1 << (block.size + reach - 1).bit_length()
+    # the transform must hold a block plus every shift of it without
+    # wrapping, also where the extended slice is cut at the table's end
+    n = 1 << (min(mask.size, SEGMENT) + reach - 1).bit_length()
+    for lo in range(0, mask.size, n - reach):
+        block = mask[lo : lo + n - reach]
         spec = np.fft.rfft(mask[lo : lo + block.size + reach], n)
         spec *= np.conj(np.fft.rfft(block, n))
         corr = np.fft.irfft(spec, n)[: reach + 1]
@@ -291,9 +302,8 @@ class GapSequence:
 
     def to_csv(self, fh) -> None:
         """Write `p,gap,normalized` rows, reals at 12 significant digits."""
-        fh.write("p,gap,normalized\n")
-        for a, b, c in zip(self.p, self.gap, self.normalized):
-            fh.write(f"{int(a)},{int(b)},{float(c):.12g}\n")
+        columns = [self.p, self.gap, self.normalized]
+        fh.write(csv_lines(["p", "gap", "normalized"], columns))
 
 
 def normalized_gaps(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> GapSequence:

@@ -51,8 +51,45 @@ def csv_cell(v) -> str:
     return str(v)
 
 
-def csv_lines(header: list, rows) -> str:
-    out = [",".join(str(h) for h in header)]
-    for row in rows:
-        out.append(",".join(csv_cell(v) for v in row))
-    return "\n".join(out) + "\n"
+# %-format per numpy dtype kind; %d writes bools as 1/0 like csv_cell
+_COLUMN_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "f": "%.12g"}
+# Rows per %-operation; bounds the Python values alive at once.
+CSV_BLOCK_ROWS = 1 << 16
+
+
+def csv_lines(header: list, columns) -> str:
+    """CSV text: the header row, then one row per index of the columns.
+
+    A numpy int, uint, bool or float column is converted to Python values
+    by .tolist() and written by %d or %.12g; any other column goes through
+    csv_cell value by value, so a Python list mixing ints and floats keeps
+    each value's own form.  One %-operation on the row format, repeated,
+    writes CSV_BLOCK_ROWS rows at a time.  The bytes equal those of
+    csv_cell applied cell by cell.
+    """
+    formats, values = [], []
+    for col in columns:
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+        if kind in _COLUMN_FORMATS:
+            formats.append(_COLUMN_FORMATS[kind])
+            values.append(col)
+        else:
+            formats.append("%s")
+            values.append([csv_cell(v) for v in col])
+    lengths = {len(v) for v in values}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {[len(v) for v in values]}")
+    n_rows = lengths.pop() if lengths else 0
+    row = ",".join(formats) + "\n"
+    out = [",".join(str(h) for h in header) + "\n"]
+    for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+        m = min(CSV_BLOCK_ROWS, n_rows - lo)
+        # the block's cells interleaved row by row, for the row format m times
+        cells = [None] * (m * len(values))
+        for j, col in enumerate(values):
+            block = col[lo : lo + m]
+            cells[j :: len(values)] = (
+                block.tolist() if isinstance(block, np.ndarray) else block
+            )
+        out.append((row * m) % tuple(cells))
+    return "".join(out)

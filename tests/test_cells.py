@@ -169,7 +169,7 @@ class TestSingletonScan:
         table = sieve_range(2, 2030)
         for n, row in zip(scan.ns, scan.counts):
             res = cells.cell_prime_counts(part, n, table)
-            assert row == res.counts
+            assert tuple(row) == res.counts
             assert res.n_singleton >= 2
 
     def test_csv_shape(self):
@@ -180,6 +180,12 @@ class TestSingletonScan:
         assert lines[0] == "n,cell_0,cell_1,cell_2"
         assert len(lines) == len(scan) + 1
         assert text.endswith("\n")
+
+    def test_empty_scan_keeps_cell_columns(self):
+        part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
+        scan = cells.scan_singleton_cells(part, 10, 200, min_singletons=4)
+        assert scan.counts.shape == (0, 3)
+        assert scan.csv() == "n,cell_0,cell_1,cell_2\n"
 
     def test_validation_and_budget(self):
         part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -121,6 +122,20 @@ class TestExitCodes:
     def test_resource_budget_exit_3(self):
         code, _, err = run_cli(["density", "--limit", "1e10"])
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["primes", "--limit", "100", "--gap-counts", "--max-diff", "1e9"],
+            ["density", "--limit", "100", "--max-diff", "1e9"],
+        ],
+        ids=["primes", "density"],
+    )
+    def test_max_diff_cap_exit_3(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == ""
+        assert "max_diff 1000000000" in err
+        assert "MAX_GAP_DIFF" in err and "--max-diff" in err
 
     @pytest.mark.parametrize("offsets", ["0,4,6,10,16,22,24,30", "0,4,6,10,12,16"])
     def test_wide_tuple_configs_run(self, offsets):
@@ -311,7 +326,27 @@ class TestOutputShapes:
         assert "prime_count,25" in target.read_text()
 
 
+# sha256 of stdout for the light-size CLI runs whose digests the benchmark
+# also records; copied here so that tier-1 checks the CSV bytes on its own
+PINNED_STDOUT = {
+    "primes --limit 2e4 --goldbach-gaps":
+        "3116dc84fce34345179fbc68c3f4264c98a77f5f332d0634c7214ecc47c72732",
+    "primes --limit 2e4 --normalized-gaps":
+        "3c02abe42b560028e86d91c60d60095e5a320ab0a3f9dfff2e7d4d0d9e256d6e",
+    "density --limit 2e4 --max-diff 200 --format csv":
+        "3bc9b43361e0669441261ae60f29e619507625089d11d0968e85f6dfb5ef3724",
+    "gaps --tuple 0,2,6,8,12,18,20,26 --theta 0.667 --lo 3 --hi 2e4 --min-singletons 2":
+        "ea125a24f2fd403a86689478a4b0f477890e46f2d5602c96eafde0428cf262e5",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+    def test_stdout_bytes_pinned(self, argv):
+        code, out, err = run_cli(argv.split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(SIEVE_ARGS + ["--output", str(a)])[0] == 0

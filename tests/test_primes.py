@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import fftconvolve
 
+from sievelab import primes
 from sievelab.errors import InvariantViolationError, ResourceBudgetError
 from sievelab.primes import (
+    MAX_GAP_DIFF,
     SEGMENT,
     GapSequence,
     gap_counts,
@@ -203,10 +205,47 @@ def test_gap_counts_match_shift_oracle(limit, max_diff):
     assert gap_counts(limit, max_diff) == shift_and_gap_counts(limit, max_diff)
 
 
-@pytest.mark.parametrize("limit, max_diff", [(500, 20), (20, 10**6), (SEGMENT + 37, 60)])
+@pytest.mark.parametrize(
+    "limit, max_diff",
+    [(500, 20), (20, 10**6), (SEGMENT + 37, 60), (2 * SEGMENT + 37, 60)],
+)
 def test_gap_counts_match_shift_oracle_at_edges(limit, max_diff):
-    # max_diff far past the table, and pairs that cross the block edge at SEGMENT
+    # max_diff far past the table; a table just past SEGMENT; and pairs that
+    # cross the first block edge, at 2 * SEGMENT - 60
     assert gap_counts(limit, max_diff) == shift_and_gap_counts(limit, max_diff)
+
+
+@given(st.integers(min_value=4, max_value=600), st.integers(min_value=1, max_value=200))
+@settings(max_examples=60, deadline=None)
+def test_gap_counts_across_many_block_edges(limit, max_diff):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", 16)
+        got = gap_counts(limit, max_diff)
+    assert got == shift_and_gap_counts(limit, max_diff)
+
+
+def test_gap_count_transforms_hold_no_padding(monkeypatch):
+    # blocks of n - reach = 412 cells; each extended slice fills its
+    # transform of n = 512 unless the table ends first
+    monkeypatch.setattr(primes, "SEGMENT", 256)
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(
+        np.fft, "rfft", lambda a, n: calls.append((a.size, n)) or rfft(a, n)
+    )
+    assert gap_counts(5000, 100) == shift_and_gap_counts(5000, 100)
+    starts = range(0, 5001, 412)
+    assert calls[::2] == [(min(512, 5001 - lo), 512) for lo in starts]
+
+
+def test_gap_counts_max_diff_cap():
+    with pytest.raises(ResourceBudgetError) as info:
+        gap_counts(100, MAX_GAP_DIFF + 1)
+    msg = str(info.value)
+    assert f"max_diff {MAX_GAP_DIFF + 1}" in msg
+    assert f"MAX_GAP_DIFF = {MAX_GAP_DIFF}" in msg and "--max-diff" in msg
+    with pytest.raises(ResourceBudgetError):
+        gap_counts(100, 10**9, consecutive_only=True)
 
 
 def test_gap_counts_raise_on_inexact_transform(monkeypatch):
