@@ -160,25 +160,25 @@ class SingletonScan:
         return csv_lines(header, [self.ns, *self.counts.T])
 
 
-def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue, budget):
+def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
     """Positions n in [lo, hi] (n = residue mod modulus when modulus is
-    given) and the primes among n + h per cell: per_cell[j, i] counts cell
-    j at ns[i]."""
+    given), as a range, and the primes among n + h per cell: per_cell[j, i]
+    counts cell j at ns[i]."""
     if lo < 1 or hi < lo:
         raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi - lo > budget:
-        raise ResourceBudgetError(f"scan span {hi - lo} exceeds budget {budget}")
-    max_h = part.offsets.offsets[-1]
-    table = sieve_range(lo, hi + max_h + 1)
-    if modulus:
-        start = lo + (residue - lo) % modulus
-        ns = np.arange(start, hi + 1, modulus, dtype=np.int64)
-    else:
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
+    if hi - lo > SCAN_BUDGET:
+        raise ResourceBudgetError(
+            f"scan span {hi - lo} exceeds SCAN_BUDGET = {SCAN_BUDGET}; "
+            f"narrow --lo..--hi"
+        )
+    h = part.offsets.offsets
+    table = sieve_range(max(0, lo + h[0]), hi + h[-1] + 1)
+    step = modulus or 1
+    ns = range(lo + (residue - lo) % step, hi + 1, step)
     per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
     for j, cell in enumerate(part.cells):
-        for h in cell:
-            per_cell[j] += table.is_prime[ns + h - table.lo]
+        for off in cell:
+            per_cell[j] += table.along(ns.start + off, step, len(ns))
     return ns, per_cell
 
 
@@ -189,12 +189,11 @@ def scan_singleton_cells(
     min_singletons: int,
     modulus: int | None = None,
     residue: int = 0,
-    budget: int = SCAN_BUDGET,
 ) -> SingletonScan:
     """All n in [lo, hi] with at least min_singletons cells holding exactly
     one prime.  Pass modulus (and residue) to restrict n to a residue class.
     """
-    ns, per_cell = _cell_count_matrix(part, lo, hi, modulus, residue, budget)
+    ns, per_cell = _cell_count_matrix(part, lo, hi, modulus, residue)
     singles = (per_cell == 1).sum(axis=0)
     keep = np.flatnonzero(singles >= min_singletons)
     return SingletonScan(
@@ -202,7 +201,7 @@ def scan_singleton_cells(
         hi=hi,
         min_singletons=min_singletons,
         restricted=bool(modulus),
-        ns=ns[keep],
+        ns=ns.start + ns.step * keep,
         counts=per_cell[:, keep].T,
     )
 
@@ -246,7 +245,6 @@ def cell_statistic_sum(
     weight_fn=None,
     modulus: int | None = None,
     residue: int = 0,
-    budget: int = SCAN_BUDGET,
 ) -> CellStatReport:
     """Sum over the window of the per-position cell statistic.
 
@@ -255,7 +253,7 @@ def cell_statistic_sum(
     cells at that n.  weight_fn(n) -> w multiplies each term by w^2 and
     marks the report as a weighted substitute.
     """
-    ns, per_cell = _cell_count_matrix(part, lo, hi, modulus, residue, budget)
+    ns, per_cell = _cell_count_matrix(part, lo, hi, modulus, residue)
     label = "indicator form; original weighting out of scope"
     occupied = (per_cell > 0).sum(axis=0)
     pairs = (per_cell * (per_cell - 1)).sum(axis=0)
@@ -263,11 +261,11 @@ def cell_statistic_sum(
     if weight_fn is None:
         weights2 = np.ones(len(ns))
     else:
-        weights2 = np.array([float(weight_fn(int(n))) ** 2 for n in ns])
+        weights2 = np.array([float(weight_fn(n)) ** 2 for n in ns])
         label = "weighted substitute; squared caller weights, not the original"
     total = float(np.dot(stat, weights2))
     positive = np.flatnonzero(stat > 0)
-    best_n = int(ns[positive[np.argmax(stat[positive])]]) if len(positive) else None
+    best_n = ns[int(positive[np.argmax(stat[positive])])] if len(positive) else None
     return CellStatReport(
         lo=lo,
         hi=hi,

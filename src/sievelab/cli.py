@@ -515,8 +515,6 @@ def main(argv=None) -> int:
             if command:
                 _apply_config_file(pre_args.config, command, submap[command])
         args = parser.parse_args(argv)
-        if args.command == "goldbach-scan" and args.target is None:
-            args.target = args.N
         return args.func(args)
     except ParameterConditionError as e:
         print(f"parameter error: {e}", file=sys.stderr)

@@ -71,6 +71,33 @@ class PrimeTable:
             raise IndexError(f"{n} outside table range [{self.lo}, {self.hi})")
         return bool(self.is_prime[n - self.lo])
 
+    def along(self, first: int, step: int, count: int) -> np.ndarray:
+        """Primality of first + j*step for j < count (step may be negative).
+
+        Values below 2 read False; any other value outside [lo, hi) raises
+        IndexError, as is_prime_at does.  When no value lies below 2 the
+        result is a read-only strided view of is_prime, not a copy.
+        """
+        if step == 0 or count < 0:
+            raise ValueError(f"need step != 0 and count >= 0, got {step}, {count}")
+        # the values >= 2 are the j in [j0, j1): a prefix or a suffix
+        if step > 0:
+            j0, j1 = min(count, max(0, (step + 1 - first) // step)), count
+        else:
+            j0, j1 = 0, min(count, max(0, (first - 2) // -step + 1))
+        if j0 == j1:
+            return np.zeros(count, dtype=bool)
+        a = first + j0 * step
+        for v in (a, first + (j1 - 1) * step):
+            self.is_prime_at(v)  # IndexError outside [lo, hi)
+        view = self.is_prime[a - self.lo :: step][: j1 - j0]
+        if j1 - j0 == count:
+            view.flags.writeable = False
+            return view
+        out = np.zeros(count, dtype=bool)
+        out[j0:j1] = view
+        return out
+
     def spf_at(self, n: int) -> int:
         if self.spf is None:
             raise ValueError("table was built without a smallest-prime-factor array")
@@ -127,8 +154,8 @@ def sieve_range(
     cells = max(hi - lo, math.isqrt(hi - 1))
     if cells > budget:
         raise ResourceBudgetError(
-            f"sieve_range({lo}, {hi}) needs {cells} cells, over the "
-            f"configured budget of {budget}"
+            f"sieve_range({lo}, {hi}) needs {cells} cells, over the budget "
+            f"of {budget} (default DEFAULT_SIEVE_BUDGET); lower --limit or --N"
         )
     n = hi - lo
     is_p = np.ones(n, dtype=bool)
@@ -166,7 +193,7 @@ def sieve_range(
     return PrimeTable(lo=lo, hi=hi, is_prime=is_p, primes=primes, spf=spf)
 
 
-def goldbach_numbers(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
+def goldbach_numbers(limit: int) -> np.ndarray:
     """All n <= limit expressible as a sum of two primes, ascending.
 
     Odd n is such a sum exactly when n - 2 is prime.  Even n take primes
@@ -178,7 +205,7 @@ def goldbach_numbers(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarr
         raise ValueError("limit must be >= 0")
     if limit < 4:
         return np.zeros(0, dtype=np.int64)
-    table = sieve_range(0, limit + 1, budget=budget)
+    table = sieve_range(0, limit + 1)
     is_p = table.is_prime
     reachable = np.zeros(limit + 1, dtype=bool)
     reachable[5::2] = is_p[3 : limit - 1 : 2]
@@ -209,9 +236,9 @@ class GoldbachGapReport:
         return [(int(v), int(g)) for v, g in zip(self.values[:-1], self.gaps)]
 
 
-def goldbach_gaps(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> GoldbachGapReport:
+def goldbach_gaps(limit: int) -> GoldbachGapReport:
     """Gaps between consecutive sums-of-two-primes up to limit."""
-    values = goldbach_numbers(limit, budget=budget)
+    values = goldbach_numbers(limit)
     gaps = np.diff(values)
     if gaps.size == 0:
         return GoldbachGapReport(limit, values, gaps, 0, None)
@@ -229,7 +256,6 @@ def gap_counts(
     limit: int,
     max_diff: int,
     consecutive_only: bool = False,
-    budget: int = DEFAULT_SIEVE_BUDGET,
 ) -> dict[int, int]:
     """Count prime pairs at each difference m = 1..max_diff below limit.
 
@@ -255,7 +281,7 @@ def gap_counts(
             f"max_diff {max_diff} asks for that many pair counts, over the "
             f"cap MAX_GAP_DIFF = {MAX_GAP_DIFF}; lower --max-diff"
         )
-    table = sieve_range(0, limit + 1, budget=budget)
+    table = sieve_range(0, limit + 1)
     if consecutive_only:
         vals, cnts = np.unique(np.diff(table.primes), return_counts=True)
         got = {int(v): int(c) for v, c in zip(vals, cnts)}
@@ -306,11 +332,11 @@ class GapSequence:
         fh.write(csv_lines(["p", "gap", "normalized"], columns))
 
 
-def normalized_gaps(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> GapSequence:
+def normalized_gaps(limit: int) -> GapSequence:
     """Gaps between consecutive primes, normalized by log of the lower prime."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    table = sieve_range(0, limit + 1, budget=budget)
+    table = sieve_range(0, limit + 1)
     primes = table.primes
     p = primes[:-1]
     gap = np.diff(primes)

@@ -31,6 +31,7 @@ from .tuples import OffsetTuple, as_tuple, is_admissible, mirror_union
 from .variational import KernelParams
 
 MAX_SUPPORT_TUPLES = 5_000_000
+MAX_MOMENT_SPAN = 400_000_000
 SUPPORT_CACHE_SIZE = 32
 
 
@@ -374,12 +375,8 @@ def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
     congruences n = -h_i mod d_i once and adds its coefficient along the
     resulting progression.
     """
-    if restrict:
-        step = cfg.W
-        start = lo + (cfg.b0 - lo) % cfg.W
-    else:
-        step = 1
-        start = lo
+    step = cfg.W if restrict else 1
+    start = lo + (cfg.b0 - lo) % step
     w = np.zeros(max((hi - start) // step + 1, 0))
     if len(w) == 0:
         return start, step, w
@@ -467,27 +464,25 @@ class MomentReport:
         }
 
 
+def _w2_gram(w2: np.ndarray, masks) -> list[list[float]]:
+    """g[a][b] = sum of w2 where masks a and b both hold (g[a][a]: mask a
+    alone), each unordered pair summed once."""
+    g = [[0.0] * len(masks) for _ in masks]
+    for a, m_a in enumerate(masks):
+        g[a][a] = float(w2[m_a].sum())
+        for b in range(a + 1, len(masks)):
+            g[a][b] = g[b][a] = float(w2[m_a & masks[b]].sum())
+    return g
+
+
 def _moment_segment(cfg: SieveConfig, seg_lo: int, seg_hi: int, restrict: bool):
+    """(grid points, sum of w^2, Gram of the prime masks) on one segment."""
     start, step, w = weight_array(cfg, seg_lo, seg_hi, restrict=restrict)
-    k = cfg.k
-    if len(w) == 0:
-        return 0, 0.0, [0.0] * k, [[0.0] * k for _ in range(k)]
-    max_h = cfg.offsets.offsets[-1]
-    table = sieve_range(seg_lo, seg_hi + max_h + 1)
-    masks = []
-    for h in cfg.offsets:
-        pos = np.arange(start + h, start + h + len(w) * step, step)
-        masks.append(table.is_prime[pos - table.lo])
-    w2 = w * w
-    sum_w2 = float(w2.sum())
-    prime_sums = [float(w2[m].sum()) for m in masks]
-    pair = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        pair[i][i] = prime_sums[i]
-        for j in range(i + 1, k):
-            v = float(w2[masks[i] & masks[j]].sum())
-            pair[i][j] = pair[j][i] = v
-    return len(w), sum_w2, prime_sums, pair
+    h = cfg.offsets.offsets
+    table = sieve_range(max(0, seg_lo + h[0]), seg_hi + h[-1] + 1)
+    masks = [table.along(start + off, step, len(w)) for off in h]
+    np.square(w, out=w)
+    return len(w), float(w.sum()), _w2_gram(w, masks)
 
 
 def moment_sums(
@@ -497,19 +492,20 @@ def moment_sums(
     restrict: bool = True,
     threads: int | None = None,
     segment_size: int = 1 << 21,
-    budget: int = 400_000_000,
 ) -> MomentReport:
     """Moment sums over n in [lo, hi] (n = b0 mod W when restrict).
 
     The range splits into fixed segments evaluated independently (optionally
     on a thread pool); partial sums merge by compensated summation in
-    segment order, so totals do not depend on the thread count.
+    segment order, so totals do not depend on the thread count.  A span
+    over MAX_MOMENT_SPAN raises ResourceBudgetError.
     """
     if lo < 1:
         raise ParameterConditionError(f"window start must be >= 1, got {lo}")
-    if hi - lo > budget:
+    if hi - lo > MAX_MOMENT_SPAN:
         raise ResourceBudgetError(
-            f"window span {hi - lo} exceeds the budget of {budget}"
+            f"window span {hi - lo} exceeds MAX_MOMENT_SPAN = {MAX_MOMENT_SPAN}; "
+            f"lower --N"
         )
     k = cfg.k
     lambda_tuples(cfg)  # touch the cache before any threads fork
@@ -524,11 +520,11 @@ def moment_sums(
         parts = [_moment_segment(cfg, a, b, restrict) for a, b in jobs]
     n_count = sum(p[0] for p in parts)
     sum_w2 = math.fsum(p[1] for p in parts)
-    prime_sums = tuple(math.fsum(p[2][i] for p in parts) for i in range(k))
     pair = tuple(
-        tuple(math.fsum(p[3][i][j] for p in parts) for j in range(k))
+        tuple(math.fsum(p[2][i][j] for p in parts) for j in range(k))
         for i in range(k)
     )
+    prime_sums = tuple(pair[i][i] for i in range(k))
     return MomentReport(lo, hi, restrict, n_count, sum_w2, prime_sums, pair)
 
 
@@ -589,21 +585,14 @@ def tao_domination_check(
     max_h = cfg.offsets.offsets[-1]
     # start the table at 2 so factor chains can be walked inside it
     table = sieve_range(2, hi + max_h + 1, want_spf=True)
-    hi_off, hj_off = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    idx_i = np.maximum(ns + hi_off - table.lo, 0)
-    idx_j = np.maximum(ns + hj_off - table.lo, 0)
-    cand = (
-        table.is_prime[idx_i]
-        & table.is_prime[idx_j]
-        & (ns + hi_off > cfg.R)
-        & (ns + hj_off > cfg.R)
-    )
-    n_scanned = len(ns)
+    h_i, h_j = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
+    n_scanned = max(0, hi - lo + 1)
+    cand = table.along(lo + h_i, 1, n_scanned) & table.along(lo + h_j, 1, n_scanned)
+    # both entries must also exceed R: n > R - min(h_i, h_j)
+    cand[: max(0, cfg.R - min(h_i, h_j) + 1 - lo)] = False
     n_checked = violations = 0
     max_diff = 0.0
-    for n in ns[np.flatnonzero(cand)]:
-        n = int(n)
+    for n in (lo + np.flatnonzero(cand)).tolist():
         n_checked += 1
         w = weight(cfg, n, table=table)
         w_alt = weight(cfg, n, table=table, coord_factor=hybrid)
@@ -679,49 +668,34 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     base = list(cfg.offsets)
     # largest value read: n + h at n = N, or N - n - h at n = lo
     table = sieve_range(2, max(N + base[-1], N - lo - base[0]) + 1)
-
-    def prime_mask(values: np.ndarray) -> np.ndarray:
-        ok = values >= 2
-        out = np.zeros(len(values), dtype=bool)
-        out[ok] = table.is_prime[values[ok] - table.lo]
-        return out
-
-    ns = np.arange(start, start + len(w), dtype=np.int64)
     k = cfg.k
-    hit_masks = []
-    for h in base:
-        hit_masks.append(prime_mask(ns + h))  # base block
-    for h in base:
-        hit_masks.append(prime_mask(N - ns - h))  # mirrored block
+    # n = start + j: the base block reads n + h, the mirrored block N - n - h
+    hit_masks = [table.along(start + h, 1, len(w)) for h in base]
+    hit_masks += [table.along(N - start - h, -1, len(w)) for h in base]
     x = np.zeros(len(w), dtype=np.int64)
     for m in hit_masks:
         x += m
-    w2 = w * w
+    w2 = np.square(w, out=w)
     sum_w2 = float(w2.sum())
     sum_active = float(w2[x > 0].sum())
     sum_xw2 = float((x * w2).sum())
     sum_x2w2 = float((x * x * w2).sum())
+    gram = _w2_gram(w2, hit_masks)
     same = mixed = 0.0
-    for a in range(2 * k):
-        for b in range(2 * k):
-            if a == b:
-                continue
-            v = float(w2[hit_masks[a] & hit_masks[b]].sum())
-            if (a < k) == (b < k):
-                same += v
-            else:
-                mixed += v
+    for a, b in itertools.permutations(range(2 * k), 2):
+        if (a < k) == (b < k):
+            same += gram[a][b]
+        else:
+            mixed += gram[a][b]
     cs = sum_xw2**2 <= sum_active * sum_x2w2 * (1 + 1e-12) + 1e-300
     witness = None
     witness_count = 0
-    for idx_i in range(k):
-        for idx_j in range(k):
-            both = hit_masks[idx_i] & hit_masks[k + idx_j]
-            c = int(both.sum())
-            witness_count += c
-            if c and witness is None:
-                n_w = int(ns[np.argmax(both)])
-                witness = (n_w, base[idx_i], base[idx_j])
+    for idx_i, idx_j in itertools.product(range(k), repeat=2):
+        both = hit_masks[idx_i] & hit_masks[k + idx_j]
+        c = int(both.sum())
+        witness_count += c
+        if c and witness is None:
+            witness = (start + int(np.argmax(both)), base[idx_i], base[idx_j])
     return GoldbachScanReport(
         N=N, n_lo=lo, n_hi=hi, union=union, sum_w2=sum_w2,
         sum_w2_active=sum_active, sum_xw2=sum_xw2, sum_x2w2=sum_x2w2,

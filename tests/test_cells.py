@@ -191,8 +191,22 @@ class TestSingletonScan:
         part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
         with pytest.raises(ParameterConditionError):
             cells.scan_singleton_cells(part, 0, 100, 1)
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(ResourceBudgetError, match="SCAN_BUDGET = 200000000; narrow"):
             cells.scan_singleton_cells(part, 1, 10**10, 1)
+
+    @pytest.mark.parametrize("modulus, residue", [(None, 0), (6, 5)])
+    def test_negative_offsets_read_primality_not_wrapped_cells(self, modulus, residue):
+        # n - 2 lies below the scan start: read it, do not wrap to the table's end
+        part = cells.split_into_cells((-2, 0, 4, 6), 2)
+        scan = cells.scan_singleton_cells(part, 3, 200, 0, modulus, residue)
+        table = sieve_range(0, 300)
+        ns = [n for n in range(3, 201) if not modulus or n % modulus == residue]
+        oracle = [
+            [sum(table.is_prime_at(n + h) for h in cell) for cell in part.cells]
+            for n in ns
+        ]
+        assert scan.ns.tolist() == ns
+        assert scan.counts.tolist() == oracle
 
 
 class TestCellStatistic:

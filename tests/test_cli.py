@@ -326,8 +326,8 @@ class TestOutputShapes:
         assert "prime_count,25" in target.read_text()
 
 
-# sha256 of stdout for the light-size CLI runs whose digests the benchmark
-# also records; copied here so that tier-1 checks the CSV bytes on its own
+# sha256 of stdout for light-size CLI runs, so that tier-1 checks the output
+# bytes on its own; the first five also appear in the benchmark's digests
 PINNED_STDOUT = {
     "primes --limit 2e4 --goldbach-gaps":
         "3116dc84fce34345179fbc68c3f4264c98a77f5f332d0634c7214ecc47c72732",
@@ -337,6 +337,14 @@ PINNED_STDOUT = {
         "3bc9b43361e0669441261ae60f29e619507625089d11d0968e85f6dfb5ef3724",
     "gaps --tuple 0,2,6,8,12,18,20,26 --theta 0.667 --lo 3 --hi 2e4 --min-singletons 2":
         "ea125a24f2fd403a86689478a4b0f477890e46f2d5602c96eafde0428cf262e5",
+    "sieve --N 2e5 --delta 0.25 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9":
+        "c52cb3fef18a64cb9cc0d36c1704c16fc5af3513c2564da04b68d4e30c2b03e2",
+    "sieve --N 2e5 --delta 0.3 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9 --unrestricted":
+        "2814a67af8db88b14d7d90781063c020e46566af58a91a5771512e94e1023431",
+    "goldbach-scan --N 2000 --tuple 0,2 --allow-small-window":
+        "d92e2ed8ce5fddb6a8ccb75676322cbb6eaef6219ffc766c4164f051ccd9d044",
+    "goldbach-scan --N 4e4 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9":
+        "180d747bdba84d13b8efc6d7d24655021a4c42c9b5f4f904f7d4bef27be0b2fb",
 }
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import fftconvolve
 
 from sievelab import primes
@@ -123,6 +123,49 @@ def test_sieve_rejects_bad_range():
         sieve_range(10, 10)
     with pytest.raises(ValueError):
         sieve_range(-1, 5)
+
+
+ORACLE_PRIME_SET = frozenset(ORACLE_PRIMES_1K.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lo=st.integers(0, 60),
+    width=st.integers(1, 400),
+    shift=st.integers(-45, 125),
+    step=st.sampled_from([s * sign for s in range(1, 8) for sign in (1, -1)]),
+    count=st.integers(1, 40),  # count = 0 comes from an example below
+)
+@example(lo=0, width=50, shift=-3, step=2, count=4)  # -3, -1, 1, 3
+@example(lo=0, width=50, shift=5, step=-2, count=5)  # 5, 3, 1, -1, -3
+@example(lo=10, width=40, shift=0, step=3, count=0)
+@example(lo=10, width=40, shift=30, step=3, count=4)  # 49 is the last cell
+@example(lo=10, width=40, shift=30, step=3, count=5)  # 52 past the end
+@example(lo=10, width=40, shift=-5, step=1, count=8)  # 5 below lo
+@example(lo=10, width=40, shift=4, step=-7, count=2)  # 7 below lo
+def test_along_matches_per_value_oracle(lo, width, shift, step, count):
+    table = sieve_range(lo, lo + width)
+    values = [lo + shift + j * step for j in range(count)]
+    if any(v >= 2 and not lo <= v < lo + width for v in values):
+        with pytest.raises(IndexError):
+            table.along(lo + shift, step, count)
+        return
+    got = table.along(lo + shift, step, count)
+    assert got.dtype == bool and got.shape == (count,)
+    assert got.tolist() == [v in ORACLE_PRIME_SET for v in values]
+    if count and min(values) >= 2:
+        assert np.shares_memory(got, table.is_prime)
+        assert not got.flags.writeable
+    else:
+        assert not np.shares_memory(got, table.is_prime)
+
+
+def test_along_rejects_zero_step_and_negative_count():
+    table = sieve_range(0, 50)
+    with pytest.raises(ValueError):
+        table.along(3, 0, 2)
+    with pytest.raises(ValueError):
+        table.along(3, 1, -1)
 
 
 def test_spf_against_trial_division():

@@ -344,6 +344,26 @@ class TestMomentSums:
                     acc_pair[i][j], rel=1e-12, abs=1e-18
                 )
 
+    def test_negative_offset_reads_primality_not_wrapped_cells(self):
+        # n - 2 lies below each segment start: read it, do not wrap to the table's end
+        cfg = rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4))
+        rep = sieve.moment_sums(cfg, 1, 3000, restrict=False)
+        seg = sieve.moment_sums(cfg, 1, 3000, restrict=False, segment_size=1000)
+        assert (seg.sum_w2, seg.prime_sq_sums) == (rep.sum_w2, rep.prime_sq_sums)
+        # one pair sum differs in the last bit: segments merge in another order
+        for row, seg_row in zip(rep.pair_sq_sums, seg.pair_sq_sums):
+            assert seg_row == pytest.approx(row, rel=1e-12)
+        start, _, w = sieve.weight_array(cfg, 1, 3000, restrict=False)
+        primes = set(sieve_range(0, 3010).primes.tolist())
+        hits = [[n + h in primes for h in cfg.offsets] for n in range(1, 3001)]
+        assert start == 1 and rep.n_count == len(hits) == len(w)
+        w2 = (w * w).tolist()
+        assert rep.sum_w2 == pytest.approx(math.fsum(w2), rel=1e-12)
+        for i, j in itertools.product(range(3), repeat=2):
+            oracle = math.fsum(v for v, hit in zip(w2, hits) if hit[i] and hit[j])
+            assert rep.pair_sq_sums[i][j] == pytest.approx(oracle, rel=1e-12)
+        assert rep.prime_sq_sums == tuple(rep.pair_sq_sums[i][i] for i in range(3))
+
     def test_thread_count_never_changes_totals(self):
         cfg = rich_config()
         reps = [
@@ -371,7 +391,7 @@ class TestMomentSums:
         cfg = rich_config()
         with pytest.raises(ParameterConditionError):
             sieve.moment_sums(cfg, 0, 100)
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(ResourceBudgetError, match="MAX_MOMENT_SPAN = 400000000; lower --N"):
             sieve.moment_sums(cfg, 1, 10**10)
 
     def test_report_identities(self):
@@ -447,6 +467,23 @@ class TestTaoDomination:
         )
         assert rep.n_scanned == 20000
         assert rep.n_checked == expect
+
+    @pytest.mark.parametrize(
+        "offsets, i, j", [((0, 2, 6), 0, 1), ((-2, 0, 4), 0, 1), ((-2, 0, 4), 0, 2)]
+    )
+    def test_checked_set_at_a_prime_truncation(self, offsets, i, j):
+        # R = 41 is prime, so an entry equal to R is a prime left unchecked
+        cfg = rich_config(N=10**6, delta=0.27, offsets=offsets)
+        alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
+        rep = sieve.tao_domination_check(cfg, alt, i, j, 1, 3000)
+        primes = set(sieve_range(0, 3010).primes.tolist())
+        expect = sum(
+            1
+            for n in range(1, 3001)
+            if all(n + offsets[c] > cfg.R and n + offsets[c] in primes for c in (i, j))
+        )
+        assert cfg.R == 41 and rep.n_checked == expect > 0
+        assert rep.passed
 
     def test_index_validation(self):
         cfg = rich_config()
