@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterConditionError, ResourceBudgetError
 from .primes import gap_counts
@@ -73,7 +73,8 @@ def build_graph(N: int, avoid) -> DiffGraph:
     diff = np.zeros(N, dtype=bool)
     for d in range(1, N):
         diff[d] = not member(2 * d)
-    adjacency = toeplitz(diff)
+    # row i is diff[|i - j|]: N-wide windows over diff mirrored about index 0
+    adjacency = sliding_window_view(np.concatenate((diff[:0:-1], diff)), N)[::-1].copy()
     np.fill_diagonal(adjacency, False)
     return DiffGraph(N=N, diff_has_edge=diff, adjacency=adjacency)
 

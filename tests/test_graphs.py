@@ -56,6 +56,18 @@ class TestBuildGraph:
         assert not g.adjacency.diagonal().any()
         assert (g.adjacency == g.adjacency.T).all()
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 100, 1000])
+    def test_adjacency_matches_scipy_toeplitz(self, N):
+        from scipy.linalg import toeplitz
+
+        rng = np.random.default_rng(N)
+        avoid = {2 * d for d in range(1, N) if rng.random() < 0.5}
+        g = graphs.build_graph(N, avoid)
+        want = toeplitz(g.diff_has_edge)
+        np.fill_diagonal(want, False)
+        assert g.adjacency.dtype == bool and g.adjacency.flags.c_contiguous
+        assert np.array_equal(g.adjacency, want)
+
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             graphs.build_graph(10_001, set())

@@ -8,6 +8,8 @@ from sievelab.errors import ParameterConditionError
 from sievelab.variational import (
     FOURIER_TEST_FUNCTIONS,
     KernelParams,
+    _gauss_legendre,
+    _pair_mass_grid,
     closed_forms,
     constrained_minimizer_ratio,
     fourier_identity_sides,
@@ -30,6 +32,44 @@ def quad_oracle(params):
     energy, _ = quad(lambda t: g(t) ** 2, 0, params.cutoff, epsabs=1e-13, limit=300)
     first, _ = quad(lambda t: t * g(t) ** 2, 0, params.cutoff, epsabs=1e-13, limit=300)
     return mass, energy, first / energy
+
+
+def quad_pair_mass_grid(params, n_grid=257):
+    """The per-node adaptive quadrature that _pair_mass_grid replaced, with
+    float integrands and a relative tolerance in place of epsabs 1e-12."""
+    cap, ak = params.coord_cap, params.slope * params.k
+    g = lambda t: 1.0 / (params.base + ak * t)
+    G = lambda u: math.log1p(ak * u / params.base) / ak
+    rs = np.linspace(0.0, min(2 * cap, params.sum_cap), n_grid)
+    vals = np.zeros(n_grid)
+    for i in range(1, n_grid):
+        r, hi = rs[i], min(rs[i], cap)
+        pts = [r - cap] if 0.0 < r - cap < hi else None
+        vals[i] = quad(
+            lambda t: g(t) * G(min(cap, r - t)), 0.0, hi,
+            points=pts, epsabs=0.0, epsrel=1e-13, limit=200,
+        )[0]
+    return rs, vals
+
+
+def gl_projection_ratio_k3(params, m):
+    """proj_square / square at k = 3 by an m x m Gauss-Legendre product rule.
+
+    Only for sum_cap <= coord_cap, where the support is the triangle
+    t2 + t3 <= sum_cap and the room left for t1 is sum_cap - t2 - t3.
+    """
+    tau, ak = params.sum_cap, params.slope * params.k
+    assert tau <= params.coord_cap
+    x, w = np.polynomial.legendre.leggauss(m)
+    t3, w3 = tau * (x + 1) / 2, tau * w / 2
+    span = (tau - t3)[:, None]
+    t2, w2 = span * (x + 1) / 2, span * w / 2
+    g2 = lambda t: (params.base + ak * t) ** -2.0
+    weight = (w3 * g2(t3))[:, None] * w2 * g2(t2)
+    room = tau - t2 - t3[:, None]
+    mass = np.log1p(ak * room / params.base) / ak
+    energy = (1.0 / params.base - 1.0 / (params.base + ak * room)) / ak
+    return math.fsum((weight * mass**2).ravel()) / math.fsum((weight * energy).ravel())
 
 
 class TestKernelParams:
@@ -241,7 +281,7 @@ class TestSimplexMc:
         assert abs(mc.square.value - want_sq) <= 3 * mc.square.stderr
         assert abs(mc.square.value / want_sq - 1) < 0.05
         # two-variable projection collapses to a deterministic quadrature
-        assert mc.biproj_square.stderr < 1e-15
+        assert mc.biproj_square.stderr == 0.0
         assert abs(mc.biproj_square.value / (f.mass / 2) ** 4 - 1) < 1e-9
         assert mc.tail1.value == 0.0 and mc.tail2.value == 0.0
 
@@ -292,7 +332,84 @@ class TestSimplexMc:
         assert a.estimates() != c.estimates()
 
 
+def pair_grid_cases():
+    # k = 3..10 with slope*k/base from 390 to 1300 and the simplex cap on
+    # either side of 2*coord_cap, the tail test's k = 8 point, and a seeded
+    # random sweep with slope*k/base up to 1300
+    cases = [
+        KernelParams(k=k, base=1.0 + 0.1 * k, slope=130.0 * (1.0 + 0.1 * k),
+                     cutoff=k * (0.3 + 0.1 * k) / (2.0 + 0.2 * k))
+        for k in range(3, 11)
+    ]
+    cases.append(KernelParams(k=8, base=2.0, slope=100.0 / 1.4599, cutoff=1.4599))
+    rng = np.random.default_rng(2024)
+    for _ in range(8):
+        k = int(rng.integers(3, 11))
+        base = 1.0 + 2.0 * rng.random()
+        cutoff = k * (0.2 + 1.3 * rng.random()) / (2.0 * base)
+        slope = base * 1300.0 ** rng.random() / k
+        cases.append(KernelParams(k=k, base=base, slope=slope, cutoff=cutoff))
+    return cases
+
+
+class TestPairMassGrid:
+    @pytest.mark.parametrize("params", pair_grid_cases(), ids=lambda p: f"k{p.k}")
+    def test_matches_per_node_quad(self, params):
+        rs, vals = _pair_mass_grid(params)
+        want_rs, want = quad_pair_mass_grid(params)
+        assert np.array_equal(rs, want_rs) and vals[0] == 0.0
+        np.testing.assert_allclose(vals[1:], want[1:], rtol=1e-10, atol=0.0)
+
+    def test_full_triangle_is_mass_squared(self):
+        # below the simplex cap the last node covers the whole square
+        p = KernelParams(k=4, base=2.0, slope=300.0, cutoff=0.5)
+        rs, vals = _pair_mass_grid(p)
+        assert rs[-1] == 2 * p.coord_cap
+        assert math.isclose(vals[-1], (closed_forms(p).mass / 4) ** 2, rel_tol=1e-14)
+
+    def test_gauss_legendre_table_is_cached_read_only(self):
+        nodes, weights = _gauss_legendre(32)
+        assert _gauss_legendre(32)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert math.isclose(math.fsum(weights), 2.0, rel_tol=1e-15)
+
+
+# proj_square / square at k = 2 from mpmath at 30 digits, each integral split
+# at the kinks sum_cap - coord_cap and sum_cap: (base, slope, cutoff) -> ratio.
+# The last five have slope*k/base from 40 to 1333; there adaptive quad at
+# epsabs 1e-12 was off by up to 1.8e-7 relative.
+PROJECTION_K2_MPMATH = {
+    (1.01, 1.0, 2.0): 0.68167601102426147091,
+    (2.0, 30.0, 1.2): 0.24986188072143196657,
+    (2.0, 5.0, 0.3): 0.14614592071640584999,
+    (1.25, 40.0, 1.7): 0.24123272061230070984,
+    (2.0, 600.0, 1.2): 0.054128830733249043527,
+    (1.5, 450.0, 1.0): 0.054433599039822233054,
+    (1.1, 330.0, 0.8): 0.050347238706892133448,
+    (3.0, 2000.0, 0.5): 0.025398268077418961647,
+}
+
+# The converged k = 3 ratio at KernelParams(k=3, base=1.01, slope=1, cutoff=3)
+# (mpmath at 30 digits: 0.54191191611788528007).  projection_ratio_exact
+# keeps scipy's nquad for k = 3, which returns 0.5419119167486731, 1.16e-9
+# relative above it; the benchmark's PROJECTION_RATIO[3] records that value.
+PROJECTION_K3_CONVERGED = 0.54191191611788528
+
+
 class TestProjectionExact:
+    @pytest.mark.parametrize("point", sorted(PROJECTION_K2_MPMATH))
+    def test_k2_matches_mpmath(self, point):
+        got = projection_ratio_exact(KernelParams(2, *point))
+        assert got == pytest.approx(PROJECTION_K2_MPMATH[point], rel=1e-13)
+
+    def test_k3_converged_value_and_nquad_gap(self):
+        p = KernelParams(k=3, base=1.01, slope=1.0, cutoff=3.0)
+        for m in (16, 32, 64):
+            assert gl_projection_ratio_k3(p, m) == pytest.approx(
+                PROJECTION_K3_CONVERGED, rel=1e-14
+            )
+        assert abs(projection_ratio_exact(p) / PROJECTION_K3_CONVERGED - 1) < 2e-9
+
     def test_against_nested_numeric_oracle(self):
         p = KernelParams(k=2, base=2.0, slope=30.0, cutoff=1.2)
         cap, tau = p.coord_cap, p.sum_cap
@@ -333,6 +450,17 @@ class TestFourierCheck:
         for e in rep.entries:
             assert e.abs_diff < 1e-4
             assert e.lhs > 0 and e.rhs > 0
+
+    def test_rhs_matches_mpmath(self):
+        # integral of f'(t)^2 over [0, 1], mpmath at 30 digits
+        want = {
+            "bump": 6.526646348140806977,
+            "poly_bump": 0.67481904366620658279,
+            "sine_bump": 8.5429583092330349662,
+        }
+        for name, (f, fp) in FOURIER_TEST_FUNCTIONS.items():
+            _, rhs = fourier_identity_sides(f, fp, n_freq=400)
+            assert abs(rhs - want[name]) < 5e-15, name
 
     def test_zero_function(self):
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
