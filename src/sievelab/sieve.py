@@ -33,6 +33,7 @@ from .variational import KernelParams
 MAX_SUPPORT_TUPLES = 5_000_000
 MAX_MOMENT_SPAN = 400_000_000
 SUPPORT_CACHE_SIZE = 32
+BLOCK = 1 << 17  # weight_array grid points per pass: 1 MB of float64
 
 
 @dataclass(frozen=True)
@@ -372,14 +373,18 @@ def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
     Returns (start, step, values): n = start + j*step runs over the grid
     (step = W with n = b0 mod W when restrict, else step 1), values[j] the
     weight.  Each globally enumerated divisor tuple solves its system of
-    congruences n = -h_i mod d_i once and adds its coefficient along the
-    resulting progression.
+    congruences n = -h_i mod d_i once, giving a progression of grid
+    positions.  The coefficients are then added block by block (BLOCK grid
+    points, cache-resident), every tuple in enumeration order inside each
+    block: each values[j] receives the same additions in the same order as
+    a whole-array pass would make, so the result is bit-identical to it.
     """
     step = cfg.W if restrict else 1
     start = lo + (cfg.b0 - lo) % step
     w = np.zeros(max((hi - start) // step + 1, 0))
     if len(w) == 0:
         return start, step, w
+    progressions = []
     for dt, lam in lambda_tuples(cfg):
         a, m = (cfg.b0, cfg.W) if restrict else (0, 1)
         for d, h in zip(dt, cfg.offsets):
@@ -393,8 +398,11 @@ def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
             # positions j with start + j*step = a (mod m): step divides m,
             # and a = start (mod step) since both are b0 mod W when restricted
             stride = m // step
-            first = (a - start) // step % stride
-            w[first::stride] += lam
+            progressions.append(((a - start) // step % stride, stride, lam))
+    for b in range(0, len(w), BLOCK):
+        block = w[b : b + BLOCK]
+        for first, stride, lam in progressions:
+            block[(first - b) % stride :: stride] += lam
     return start, step, w
 
 
@@ -464,15 +472,28 @@ class MomentReport:
         }
 
 
-def _w2_gram(w2: np.ndarray, masks) -> list[list[float]]:
+def _w2_gram(w2: np.ndarray, masks, hits=None) -> list[list[float]]:
     """g[a][b] = sum of w2 where masks a and b both hold (g[a][a]: mask a
-    alone), each unordered pair summed once."""
+    alone), each unordered pair summed once.  hits yields each mask's hit
+    positions in turn (default np.flatnonzero); w2 gathered there once and
+    read through the other mask holds the same elements in the same order
+    as w2[m_a & m_b], so every entry is bit-identical to that sum."""
     g = [[0.0] * len(masks) for _ in masks]
-    for a, m_a in enumerate(masks):
-        g[a][a] = float(w2[m_a].sum())
+    for a, idx in enumerate(map(np.flatnonzero, masks) if hits is None else hits):
+        w2_a = w2[idx]
+        g[a][a] = float(w2_a.sum())
         for b in range(a + 1, len(masks)):
-            g[a][b] = g[b][a] = float(w2[m_a & masks[b]].sum())
+            g[a][b] = g[b][a] = float(w2_a[masks[b][idx]].sum())
     return g
+
+
+def _prime_positions(table, first: int, count: int, offsets):
+    """For each h in offsets, the j < count with first + j + h prime, read
+    off table.primes by bisection; one array at a time."""
+    for h in offsets:
+        a = first + h
+        i, j = np.searchsorted(table.primes, (a, a + count))
+        yield table.primes[i:j] - a
 
 
 def _moment_segment(cfg: SieveConfig, seg_lo: int, seg_hi: int, restrict: bool):
@@ -481,8 +502,10 @@ def _moment_segment(cfg: SieveConfig, seg_lo: int, seg_hi: int, restrict: bool):
     h = cfg.offsets.offsets
     table = sieve_range(max(0, seg_lo + h[0]), seg_hi + h[-1] + 1)
     masks = [table.along(start + off, step, len(w)) for off in h]
+    # on the W-strided grid the masks are short: flatnonzero beats bisection
+    hits = None if restrict else _prime_positions(table, start, len(w), h)
     np.square(w, out=w)
-    return len(w), float(w.sum()), _w2_gram(w, masks)
+    return len(w), float(w.sum()), _w2_gram(w, masks, hits)
 
 
 def moment_sums(
@@ -672,14 +695,15 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     # n = start + j: the base block reads n + h, the mirrored block N - n - h
     hit_masks = [table.along(start + h, 1, len(w)) for h in base]
     hit_masks += [table.along(N - start - h, -1, len(w)) for h in base]
-    x = np.zeros(len(w), dtype=np.int64)
+    # x(n) <= 2k hits, so x^2 fits the smallest type holding (2k)^2
+    x = np.zeros(len(w), dtype=np.min_scalar_type(4 * k * k))
     for m in hit_masks:
         x += m
     w2 = np.square(w, out=w)
     sum_w2 = float(w2.sum())
     sum_active = float(w2[x > 0].sum())
     sum_xw2 = float((x * w2).sum())
-    sum_x2w2 = float((x * x * w2).sum())
+    sum_x2w2 = float((np.square(x, out=x) * w2).sum())
     gram = _w2_gram(w2, hit_masks)
     same = mixed = 0.0
     for a, b in itertools.permutations(range(2 * k), 2):

@@ -341,6 +341,11 @@ PINNED_STDOUT = {
         "c52cb3fef18a64cb9cc0d36c1704c16fc5af3513c2564da04b68d4e30c2b03e2",
     "sieve --N 2e5 --delta 0.3 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9 --unrestricted":
         "2814a67af8db88b14d7d90781063c020e46566af58a91a5771512e94e1023431",
+    # windows of 10^6 points: the weight placement spans several cache blocks
+    "sieve --N 1e6 --delta 0.33 --tuple 0,4,6,10,12,16 --base 1.1 --slope 3 --cutoff 5.7 --unrestricted":
+        "914d84c34615ca28346445d4e249e0bab300edb10ca2821da7725ac951488875",
+    "sieve --N 1e6 --delta 0.39 --tuple 0,2,6,8 --base 1.1 --slope 3 --cutoff 3.8 --unrestricted --threads 2":
+        "6d2be1580c7bf68d9324206b0247f17e7d0fe4e991fb21c20051c7b2a63d7c83",
     "goldbach-scan --N 2000 --tuple 0,2 --allow-small-window":
         "d92e2ed8ce5fddb6a8ccb75676322cbb6eaef6219ffc766c4164f051ccd9d044",
     "goldbach-scan --N 4e4 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9":

@@ -314,6 +314,91 @@ class TestWeightPaths:
         )
 
 
+def whole_array_weights(cfg, lo, hi, restrict=True):
+    """Oracle for weight_array: one slice-add per tuple over the whole grid."""
+    step = cfg.W if restrict else 1
+    start = lo + (cfg.b0 - lo) % step
+    w = np.zeros(max((hi - start) // step + 1, 0))
+    for dt, lam in sieve.lambda_tuples(cfg):
+        a, m = (cfg.b0, cfg.W) if restrict else (0, 1)
+        for d, h in zip(dt, cfg.offsets):
+            if d > 1:
+                merged = sieve._crt_merge(a, m, (-h) % d, d)
+                if merged is None:
+                    break
+                a, m = merged
+        else:
+            stride = m // step
+            w[(a - start) // step % stride :: stride] += lam
+    return start, step, w
+
+
+def mask_and_gram(w2, masks):
+    """Oracle for _w2_gram: sum w2 over each pair's AND of masks."""
+    return [[float(w2[m_a & m_b].sum()) for m_b in masks] for m_a in masks]
+
+
+WINDOW_CASES = {
+    "restricted": (rich_config(), 1, 200000, True),
+    "unrestricted": (rich_config(), 5000, 8001, False),
+    "negative offsets": (rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4)), 1, 3000, False),
+    "negative offsets restricted": (rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4)), 1, 300000, True),
+    "one point": (rich_config(), 7000, 7000, False),
+    "shared prime": (rich_config(delta=0.45, offsets=(0, 22), base=1.01, slope=2.0, cutoff=2.1), 4000, 90000, True),
+}
+
+
+class TestBlockedKernels:
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_blocked_weights_equal_whole_array(self, monkeypatch, block, case):
+        if block is not None:
+            monkeypatch.setattr(sieve, "BLOCK", block)
+        cfg, lo, hi, restrict = WINDOW_CASES[case]
+        start, step, w = sieve.weight_array(cfg, lo, hi, restrict=restrict)
+        ref_start, ref_step, ref = whole_array_weights(cfg, lo, hi, restrict)
+        assert (start, step) == (ref_start, ref_step)
+        assert len(w) > 0 and np.array_equal(w, ref)
+
+    def test_window_across_default_blocks(self):
+        cfg = rich_config(N=10**6, delta=0.4)
+        hi = 1 + 2 * sieve.BLOCK + 12345  # not a multiple of the block
+        _, _, w = sieve.weight_array(cfg, 1, hi, restrict=False)
+        _, _, ref = whole_array_weights(cfg, 1, hi, restrict=False)
+        assert len(w) > 2 * sieve.BLOCK and np.array_equal(w, ref)
+
+    @pytest.mark.parametrize("offsets, lo, size", [
+        ((-2, 0, 4), 1, 3000),  # the table starts at 0
+        ((-2, 0, 4), 1, (1 << 17) + 4321),  # not a multiple of BLOCK
+        ((0, 2, 6, 8), 10**5, 3 * (1 << 17) + 1),
+    ])
+    def test_prime_positions_and_gram(self, offsets, lo, size):
+        cfg = rich_config(N=10**6, delta=0.3, offsets=offsets)
+        hi = lo + size - 1
+        table = sieve_range(max(0, lo + offsets[0]), hi + offsets[-1] + 1)
+        masks = [table.along(lo + h, 1, size) for h in offsets]
+        hits = list(sieve._prime_positions(table, lo, size, offsets))
+        for idx, mask in zip(hits, masks):
+            assert np.array_equal(idx, np.flatnonzero(mask))
+        _, _, w = whole_array_weights(cfg, lo, hi, restrict=False)
+        w2 = w * w
+        ref = mask_and_gram(w2, masks)
+        assert sieve._w2_gram(w2, masks, iter(hits)) == ref
+        assert sieve._w2_gram(w2, masks) == ref
+        # the segment kernel end to end, against both oracles
+        count, sum_w2, gram = sieve._moment_segment(cfg, lo, hi, restrict=False)
+        assert (count, sum_w2, gram) == (size, float(w2.sum()), ref)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 3000), (1, 200000)])
+    def test_restricted_segment_equals_oracles(self, lo, hi):
+        cfg = rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4))
+        start, step, w = whole_array_weights(cfg, lo, hi)
+        table = sieve_range(0, hi + 5)
+        w2 = w * w
+        ref = mask_and_gram(w2, [table.along(start + h, step, len(w)) for h in (-2, 0, 4)])
+        assert sieve._moment_segment(cfg, lo, hi, restrict=True) == (len(w), float(w2.sum()), ref)
+
+
 class TestMomentSums:
     def test_against_brute_oracle(self):
         cfg = rich_config()
