@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterConditionError, ResourceBudgetError
 from .primes import PrimeTable, sieve_range
-from .reportio import csv_lines
+from .reportio import csv_lines, report_dict
 from .tuples import OffsetTuple, as_tuple
 
 SCAN_BUDGET = 200_000_000
@@ -163,18 +163,21 @@ class SingletonScan:
 def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
     """Positions n in [lo, hi] (n = residue mod modulus when modulus is
     given), as a range, and the primes among n + h per cell: per_cell[j, i]
-    counts cell j at ns[i]."""
+    counts cell j at ns[i].  The span (the prime table's length) and the
+    count matrix's entries must each stay within SCAN_BUDGET."""
     if lo < 1 or hi < lo:
         raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi - lo > SCAN_BUDGET:
+    step = modulus or 1
+    ns = range(lo + (residue - lo) % step, hi + 1, step)
+    entries = len(part.cells) * len(ns)
+    if max(hi - lo, entries) > SCAN_BUDGET:
         raise ResourceBudgetError(
-            f"scan span {hi - lo} exceeds SCAN_BUDGET = {SCAN_BUDGET}; "
-            f"narrow --lo..--hi"
+            f"scan of span {hi - lo} needs {len(part.cells)} cells x {len(ns)} "
+            f"positions = {entries} count entries; the larger exceeds "
+            f"SCAN_BUDGET = {SCAN_BUDGET}; narrow --lo/--hi"
         )
     h = part.offsets.offsets
     table = sieve_range(max(0, lo + h[0]), hi + h[-1] + 1)
-    step = modulus or 1
-    ns = range(lo + (residue - lo) % step, hi + 1, step)
     per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
     for j, cell in enumerate(part.cells):
         for off in cell:
@@ -225,17 +228,7 @@ class CellStatReport:
     weighted: bool
     label: str
 
-    def as_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "m": self.m,
-            "total": self.total,
-            "n_positive": self.n_positive,
-            "best_n": self.best_n,
-            "weighted": self.weighted,
-            "label": self.label,
-        }
+    as_dict = report_dict
 
 
 def cell_statistic_sum(

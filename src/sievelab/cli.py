@@ -183,12 +183,9 @@ def _sieve_config(args) -> sieve.SieveConfig:
 
 def _flat_sieve_config(cfg: sieve.SieveConfig) -> dict:
     """Scalar-only view of a sieve config, same shape in CSV and JSON."""
-    out = dict(cfg.as_dict())
+    out = cfg.as_dict()
     params = out.pop("params")
-    out["k"] = params["k"]
-    out["base"] = params["base"]
-    out["slope"] = params["slope"]
-    out["cutoff"] = params["cutoff"]
+    out.update((key, params[key]) for key in ("k", "base", "slope", "cutoff"))
     return out
 
 
@@ -254,7 +251,7 @@ def cmd_density(args) -> int:
         "max_diff": args.max_diff,
     }
     payload = rep.as_dict()
-    payload.pop("counts", None)  # bulky; the per-difference columns live in CSV mode
+    payload.pop("counts")  # bulky; the per-difference columns live in CSV mode
     if args.format == "csv":
         diffs, counts = np.array(sorted(rep.counts.items()), dtype=np.int64).T
         body = csv_lines(
@@ -438,10 +435,28 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
+def _config_value(action, key: str, text: str, command: str):
+    """A config-file value checked as argparse checks the flag: its type,
+    then its choices."""
+    try:
+        value = text if action.type is None else action.type(text)
+    except (argparse.ArgumentTypeError, ValueError) as e:
+        raise ParameterConditionError(f"bad value for {key!r} in [{command}]: {e}")
+    if action.choices is not None and value not in action.choices:
+        raise ParameterConditionError(
+            f"{key!r} in [{command}] must be one of {list(action.choices)}, "
+            f"got {value!r}"
+        )
+    return value
+
+
 def _apply_config_file(path: str, command: str, subparser) -> None:
     ini = configparser.ConfigParser()
     ini.optionxform = str  # keep key case, --N and --n-cells must stay distinct
-    read = ini.read(path)
+    try:
+        read = ini.read(path)
+    except configparser.Error as e:
+        raise ParameterConditionError(f"bad config file: {e}")
     if not read:
         raise ParameterConditionError(f"config file {path!r} not found")
     if command not in ini:
@@ -476,10 +491,8 @@ def _apply_config_file(path: str, command: str, subparser) -> None:
                 raise ParameterConditionError(
                     f"flag {raw_key!r} in [{command}] must be boolean, got {raw_val!r}"
                 )
-        elif action.type is not None:
-            overrides[action.dest] = action.type(raw_val)
         else:
-            overrides[action.dest] = raw_val
+            overrides[action.dest] = _config_value(action, raw_key, raw_val, command)
         action.required = False  # the config value satisfies required flags
     for group in subparser._mutually_exclusive_groups:
         if group.required and any(a.dest in overrides for a in group._group_actions):

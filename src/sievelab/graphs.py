@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterConditionError, ResourceBudgetError
 from .primes import gap_counts
+from .reportio import report_dict
 
 MAX_DENSE_N = 10_000
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -243,22 +244,12 @@ class PolignacDensityReport:
     kappa_curves: dict[str, tuple[float, ...]]
     label: str = "finite-scale proxy; realized-at-threshold is not infinitude"
 
+    derived = ("exception_count",)
+    as_dict = report_dict
+
     @property
     def exception_count(self) -> int:
         return len(self.exceptions)
-
-    def as_dict(self) -> dict:
-        return {
-            "limit": self.limit,
-            "threshold": self.threshold,
-            "max_diff": self.max_diff,
-            "exceptions": list(self.exceptions),
-            "exception_count": self.exception_count,
-            "grid": list(self.grid),
-            "exception_cumulative": list(self.exception_cumulative),
-            "kappa_curves": {k: list(v) for k, v in self.kappa_curves.items()},
-            "label": self.label,
-        }
 
 
 def empirical_polignac_density(

@@ -1,11 +1,16 @@
-"""Deterministic report formatting: 12-significant-digit CSV and stable JSON.
+"""Deterministic report formatting: the dict view of a report,
+12-significant-digit CSV and stable JSON.
 
-Reruns with identical inputs must produce byte-identical files, so floats are
-canonicalized through %.12g everywhere and JSON keys are always sorted.
+A report's dict view (report_dict, bound as each report class's as_dict)
+is its dataclass fields in order, then the derived values its class names
+in `derived`.  Reruns with identical inputs must produce byte-identical
+files, so floats are canonicalized through %.12g everywhere and JSON keys
+are always sorted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +23,31 @@ def fmt12(x) -> str:
 
 def round12(x: float) -> float:
     return float(fmt12(x))
+
+
+def report_dict(report) -> dict:
+    """The dict view of a report dataclass: each field, then each name in
+    the class's `derived` tuple (properties computed from the fields).
+
+    Tuples become lists, dict values and nested dataclasses get the same
+    view, and a value with a serialize() method (an OffsetTuple) is
+    written as that text.
+    """
+    names = [f.name for f in dataclasses.fields(report)]
+    names += getattr(report, "derived", ())
+    return {name: _view(getattr(report, name)) for name in names}
+
+
+def _view(value):
+    if hasattr(value, "serialize"):
+        return value.serialize()
+    if dataclasses.is_dataclass(value):
+        return report_dict(value)
+    if isinstance(value, tuple):
+        return [_view(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _view(v) for k, v in value.items()}
+    return value
 
 
 def _canonical(obj):

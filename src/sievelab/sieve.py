@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ParameterConditionError, ResourceBudgetError
 from .primes import _small_primes, primorial, sieve_range
+from .reportio import report_dict
 from .tuples import OffsetTuple, as_tuple, is_admissible, mirror_union
 from .variational import KernelParams
 
@@ -60,17 +61,7 @@ class SieveConfig:
         """The cached Support of (R, W, params); see build_support."""
         return build_support(self.R, self.W, self.params)
 
-    def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "delta": self.delta,
-            "R": self.R,
-            "w_bound": self.w_bound,
-            "W": self.W,
-            "b0": self.b0,
-            "offsets": self.offsets.serialize(),
-            "params": self.params.as_dict(),
-        }
+    as_dict = report_dict
 
 
 def default_params(k: int) -> KernelParams:
@@ -423,6 +414,9 @@ class MomentReport:
     prime_sq_sums: tuple[float, ...]
     pair_sq_sums: tuple[tuple[float, ...], ...]
 
+    derived = ("ratios", "pair_max_ratio")
+    as_dict = report_dict
+
     @property
     def ratios(self) -> tuple[float, ...]:
         if self.sum_w2 == 0:
@@ -457,19 +451,6 @@ class MomentReport:
         head += [f"ratio_{i}" for i in range(k)]
         head.append("pair_max_ratio")
         return head
-
-    def as_dict(self) -> dict:
-        return {
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "restricted": self.restricted,
-            "n_count": self.n_count,
-            "sum_w2": self.sum_w2,
-            "prime_sq_sums": list(self.prime_sq_sums),
-            "pair_sq_sums": [list(r) for r in self.pair_sq_sums],
-            "ratios": list(self.ratios),
-            "pair_max_ratio": self.pair_max_ratio,
-        }
 
 
 def _w2_gram(w2: np.ndarray, masks, hits=None) -> list[list[float]]:
@@ -561,21 +542,12 @@ class TaoCheckReport:
     violations: int
     max_abs_diff: float
 
+    derived = ("passed",)
+    as_dict = report_dict
+
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-    def as_dict(self) -> dict:
-        return {
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "index_pair": list(self.index_pair),
-            "n_scanned": self.n_scanned,
-            "n_checked": self.n_checked,
-            "violations": self.violations,
-            "max_abs_diff": self.max_abs_diff,
-            "passed": self.passed,
-        }
 
 
 def tao_domination_check(
@@ -653,22 +625,7 @@ class GoldbachScanReport:
     witness: tuple[int, int, int] | None
     witness_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "union": self.union.serialize(),
-            "sum_w2": self.sum_w2,
-            "sum_w2_active": self.sum_w2_active,
-            "sum_xw2": self.sum_xw2,
-            "sum_x2w2": self.sum_x2w2,
-            "pair_sum_same": self.pair_sum_same,
-            "pair_sum_mixed": self.pair_sum_mixed,
-            "cs_holds": self.cs_holds,
-            "witness": list(self.witness) if self.witness else None,
-            "witness_count": self.witness_count,
-        }
+    as_dict = report_dict
 
 
 def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScanReport:

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ParameterConditionError
+from .reportio import report_dict
 
 GRADED_NODES = 32
 
@@ -41,6 +42,9 @@ class KernelParams:
     slope: float
     cutoff: float
     eta: float = 0.0
+
+    derived = ("sum_cap", "log_ratio", "tail_threshold")
+    as_dict = report_dict
 
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
@@ -76,18 +80,6 @@ class KernelParams:
         """(1 - cutoff/k)/base; coordinate sums above it form the tail."""
         return (1.0 - self.cutoff / self.k) / self.base
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "base": self.base,
-            "slope": self.slope,
-            "cutoff": self.cutoff,
-            "eta": self.eta,
-            "sum_cap": self.sum_cap,
-            "log_ratio": self.log_ratio,
-            "tail_threshold": self.tail_threshold,
-        }
-
 
 @dataclass(frozen=True)
 class KernelIntegrals:
@@ -106,14 +98,7 @@ class KernelIntegrals:
     tail1_rel: float
     tail2_rel: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "energy": self.energy,
-            "center": self.center,
-            "tail1_rel": self.tail1_rel,
-            "tail2_rel": self.tail2_rel,
-        }
+    as_dict = report_dict
 
 
 def profile_value(params: KernelParams, t: float) -> float:
@@ -283,21 +268,17 @@ class SimplexMcResult:
     tail2: McEstimate
 
     def estimates(self) -> dict:
-        return {
-            "square": self.square.value,
-            "proj_square": self.proj_square.value,
-            "biproj_square": self.biproj_square.value,
-            "tail1": self.tail1.value,
-            "tail2": self.tail2.value,
-        }
+        return self._column("value")
 
     def stderrs(self) -> dict:
+        return self._column("stderr")
+
+    def _column(self, part: str) -> dict:
+        """{integral name: its McEstimate's value or stderr}, in field order."""
         return {
-            "square": self.square.stderr,
-            "proj_square": self.proj_square.stderr,
-            "biproj_square": self.biproj_square.stderr,
-            "tail1": self.tail1.stderr,
-            "tail2": self.tail2.stderr,
+            name: getattr(v, part)
+            for name, v in vars(self).items()
+            if isinstance(v, McEstimate)
         }
 
 
@@ -626,27 +607,12 @@ class FourierCheckReport:
     tolerance: float
     entries: tuple[FourierCheckEntry, ...]
 
+    derived = ("all_passed",)
+    as_dict = report_dict
+
     @property
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "all_passed": self.all_passed,
-            "entries": [
-                {
-                    "name": e.name,
-                    "lhs": e.lhs,
-                    "rhs": e.rhs,
-                    "abs_diff": e.abs_diff,
-                    "passed": e.passed,
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def fourier_kernel_check(
@@ -679,12 +645,8 @@ def report(params: KernelParams, n_samples: int | None = None, seed: int = 0) ->
     }
     ratios = {}
     if params.k >= 2 and math.isfinite(forms.tail1_rel):
-        mr = moment_ratios(params)
-        ratios = {
-            "proj_over_square": mr.proj_over_square,
-            "biproj_over_proj": mr.biproj_over_proj,
-            "constrained_minimizer": constrained_minimizer_ratio(params),
-        }
+        ratios = moment_ratios(params)._asdict()
+        ratios["constrained_minimizer"] = constrained_minimizer_ratio(params)
     out["ratios"] = ratios
     if n_samples is not None:
         mc = simplex_mc_integrals(params, n_samples, seed)

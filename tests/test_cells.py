@@ -194,6 +194,23 @@ class TestSingletonScan:
         with pytest.raises(ResourceBudgetError, match="SCAN_BUDGET = 200000000; narrow"):
             cells.scan_singleton_cells(part, 1, 10**10, 1)
 
+    def test_budget_counts_the_matrix_before_sieving(self, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("the scan reached sieve_range")
+
+        monkeypatch.setattr(cells, "sieve_range", refuse)
+        # span 1.9e8 is within SCAN_BUDGET; 4 cells x 1.9e8 positions is not
+        part = cells.partition_tuple((0, 2, 6, 8, 12, 18, 20, 26), theta=0.667, m=1)
+        with pytest.raises(ResourceBudgetError) as err:
+            cells.scan_singleton_cells(part, 3, 190_000_000, 2)
+        msg = str(err.value)
+        assert "4 cells x 189999998 positions = 759999992 count entries" in msg
+        assert "SCAN_BUDGET = 200000000; narrow --lo/--hi" in msg
+        # a residue class keeps the matrix small: only the span is checked
+        scan_part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
+        with pytest.raises(AssertionError, match="reached sieve_range"):
+            cells.scan_singleton_cells(scan_part, 1, 190_000_000, 1, modulus=6, residue=5)
+
     @pytest.mark.parametrize("modulus, residue", [(None, 0), (6, 5)])
     def test_negative_offsets_read_primality_not_wrapped_cells(self, modulus, residue):
         # n - 2 lies below the scan start: read it, do not wrap to the table's end

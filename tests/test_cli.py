@@ -355,6 +355,18 @@ PINNED_STDOUT = {
     # the biproj estimate interpolates the k = 8 pair-mass table
     "variational --k 8 --base 2 --slope 64 --cutoff 0.5 --mc-samples 2e5 --seed 3":
         "f77c8f5d449a96f6082e7f7dfed34b43242f9d3737ba8e1a14535cf5e1a7e347",
+    # JSON views of MomentReport, PolignacDensityReport, KernelParams,
+    # KernelIntegrals, FourierCheckReport and the beta-subsequence payload
+    "sieve --N 2e5 --delta 0.3 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9 --format json --satz 2":
+        "b6ba6d55f5afd048e317c902bbbe94136d6bb5b5fd5f11790a9c818ef46de0e8",
+    "density --limit 1e5 --max-diff 1000":
+        "c1585e5200792d861da26388507a0f2b64955e2d6732c2a1efcb1485869a8737",
+    "variational --k 3 --fourier-check":
+        "16de4dbc549118e6d9900f1c238c52476e410246c89da2fc9d744f5bcff79f57",
+    "variational --k 20 --psi loglog":
+        "ad700c94400148778761719fac6bd9a7d40968c2461242e9afd49d410aedab10",
+    "gaps --beta 0.1,0.5,1.2,2.0 --gap-limit 1e4":
+        "5630b03c9343e3fe35fa5e3ea914a31b7ab57a36a73b88088f1e79bc1da5b9c0",
 }
 
 
@@ -448,6 +460,22 @@ class TestConfigFile:
         ini = self.write_ini(tmp_path, "[sieve]\nN = 20000\nbogus = 1\n")
         code, _, err = run_cli(["--config", ini, "sieve"])
         assert code == 4 and "bogus" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("N", "1.5"), ("tuple", "0,1,2"), ("format", "xml")]
+    )
+    def test_bad_value_rejected_like_its_flag(self, tmp_path, key, value):
+        # a non-integer, an inadmissible tuple, a value outside the choices
+        ini = self.write_ini(tmp_path, f"[sieve]\n{key} = {value}\n")
+        code, out, err = run_cli(["--config", ini, "sieve", "--N", "20000"])
+        assert code == 4 and out == ""
+        assert f"'{key}' in [sieve]" in err
+        assert run_cli(["sieve", "--N", "20000", f"--{key}", value])[0] == 2
+
+    def test_malformed_file_rejected(self, tmp_path):
+        ini = self.write_ini(tmp_path, "[sieve]\nN = 20000\nN = 30000\n")
+        code, _, err = run_cli(["--config", ini, "sieve"])
+        assert code == 4 and "already exists" in err
 
     def test_bad_boolean_rejected(self, tmp_path):
         ini = self.write_ini(

@@ -1,11 +1,91 @@
-"""Column-major CSV writer against the row-wise writer it replaced."""
+"""Report dict views, and the column-major CSV writer against the row-wise
+writer it replaced."""
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sievelab import reportio
-from sievelab.reportio import CSV_BLOCK_ROWS, csv_cell, csv_lines
+from sievelab import cells, graphs, reportio, sieve, variational
+from sievelab.reportio import CSV_BLOCK_ROWS, csv_cell, csv_lines, stable_json
+from sievelab.variational import KernelParams
+
+# one small instance of each report, with the derived values its view adds
+PARAMS = KernelParams(k=2, base=1.01, slope=1.0, cutoff=3.0, eta=0.5)
+CONFIG = sieve.make_config(
+    2000, offsets=(0, 2), params=PARAMS, w_bound=7, strict=False
+)
+REPORTS = {
+    "KernelParams": (lambda: PARAMS, ("sum_cap", "log_ratio", "tail_threshold")),
+    "KernelIntegrals": (lambda: variational.closed_forms(PARAMS), ()),
+    "FourierCheckReport": (
+        lambda: variational.fourier_kernel_check(n_samples=3200, seed=4),
+        ("all_passed",),
+    ),
+    "SieveConfig": (lambda: CONFIG, ()),
+    "MomentReport": (
+        lambda: sieve.moment_sums(CONFIG, 1, 3000, threads=1),
+        ("ratios", "pair_max_ratio"),
+    ),
+    "TaoCheckReport": (
+        lambda: sieve.tao_domination_check(
+            CONFIG, KernelParams(k=2, base=1.2, slope=2.0, cutoff=2.0), 0, 1, 1, 3000
+        ),
+        ("passed",),
+    ),
+    "GoldbachScanReport": (lambda: sieve.goldbach_window_scan(CONFIG, N=600), ()),
+    "CellStatReport": (
+        lambda: cells.cell_statistic_sum(
+            cells.partition_tuple((0, 2, 6), theta=1.0, m=1), 3, 2000
+        ),
+        (),
+    ),
+    "PolignacDensityReport": (
+        lambda: graphs.empirical_polignac_density(20000, max_diff=200),
+        ("exception_count",),
+    ),
+}
+
+
+def json_ready(value) -> bool:
+    """Only dicts, lists and scalars: no tuple, dataclass or OffsetTuple."""
+    if isinstance(value, dict):
+        return all(json_ready(v) for v in value.values())
+    if isinstance(value, list):
+        return all(json_ready(v) for v in value)
+    return value is None or isinstance(value, (bool, int, float, str, np.number))
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_view_is_fields_then_named_derived_values(name):
+    make, derived = REPORTS[name]
+    report = make()
+    assert type(report).__name__ == name
+    view = report.as_dict()
+    assert list(view) == [f.name for f in dataclasses.fields(report)] + list(derived)
+    assert json_ready(view)
+    for key in derived:
+        expected = getattr(report, key)
+        assert view[key] == (list(expected) if isinstance(expected, tuple) else expected)
+    text = stable_json(view)
+    assert stable_json(json.loads(text)) == text
+
+
+def test_view_writes_nested_reports_and_offset_tuples():
+    view = CONFIG.as_dict()
+    assert view["offsets"] == "0,2"
+    assert view["params"] == PARAMS.as_dict()
+    scan = sieve.goldbach_window_scan(CONFIG, N=600)
+    assert scan.as_dict()["union"] == "0,2,598,600"
+    assert scan.as_dict()["witness"] == list(scan.witness)
+    fourier = variational.fourier_kernel_check(n_samples=3200)
+    entries = fourier.as_dict()["entries"]
+    assert entries == [reportio.report_dict(e) for e in fourier.entries]
+    assert [list(e) for e in entries] == [
+        [f.name for f in dataclasses.fields(variational.FourierCheckEntry)]
+    ] * len(fourier.entries)
 
 
 def rowwise_csv_lines(header, rows) -> str:
