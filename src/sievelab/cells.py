@@ -167,6 +167,8 @@ def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
     count matrix's entries must each stay within SCAN_BUDGET."""
     if lo < 1 or hi < lo:
         raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if modulus is not None and modulus < 1:
+        raise ParameterConditionError(f"modulus must be >= 1, got {modulus}")
     step = modulus or 1
     ns = range(lo + (residue - lo) % step, hi + 1, step)
     entries = len(part.cells) * len(ns)

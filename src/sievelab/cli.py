@@ -69,20 +69,6 @@ def offsets_arg(text: str):
     return t
 
 
-def resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("WORKBENCH_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterConditionError(
-                f"WORKBENCH_THREADS must be an integer, got {env!r}"
-            )
-    return os.cpu_count() or 1
-
-
 def emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -195,7 +181,7 @@ def cmd_sieve(args) -> int:
         lo, hi = cfg.N, 2 * cfg.N - 1
     else:
         lo, hi = 1, cfg.N
-    threads = resolve_threads(args.threads)
+    threads = args.threads or os.cpu_count() or 1
     rep = sieve.moment_sums(
         cfg, lo, hi, restrict=not args.unrestricted, threads=threads
     )
@@ -337,6 +323,11 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     submap = {}
 
+    def add_kernel_flags(p):
+        for name in ("base", "slope", "cutoff"):
+            default = getattr(variational.KernelParams, name)
+            p.add_argument(f"--{name}", type=float, default=default)
+
     def add(name, func, **kw):
         sp = subs.add_parser(name, **kw)
         sp.set_defaults(func=func)
@@ -368,9 +359,7 @@ def build_parser():
     p.add_argument("--k", type=positive_sci_int, required=True)
     p.add_argument("--psi", help="'loglog' or a value in (0,1); enables the schedule")
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--base", type=float, default=2.0)
-    p.add_argument("--slope", type=float, default=10.0)
-    p.add_argument("--cutoff", type=float, default=0.4)
+    add_kernel_flags(p)
     p.add_argument("--mc-samples", type=positive_sci_int, default=None)
     p.add_argument("--seed", type=sci_int, default=0)
     p.add_argument("--fourier-check", action="store_true")
@@ -379,9 +368,7 @@ def build_parser():
         p.add_argument("--N", type=positive_sci_int, required=True)
         p.add_argument("--delta", type=float, default=0.25)
         p.add_argument("--tuple", type=offsets_arg, default=as_tuple((0, 2, 6)))
-        p.add_argument("--base", type=float, default=2.0)
-        p.add_argument("--slope", type=float, default=10.0)
-        p.add_argument("--cutoff", type=float, default=0.4)
+        add_kernel_flags(p)
         p.add_argument("--w-bound", type=sci_int, default=7)
         p.add_argument("--b0", type=sci_int, default=None)
         p.add_argument("--allow-small-window", action="store_true")
@@ -394,8 +381,8 @@ def build_parser():
         help="scan the upper half [N, 2N) of the doubled window (default [1, N])",
     )
     p.add_argument("--unrestricted", action="store_true")
-    p.add_argument("--threads", type=sci_int, default=None)
-    p.add_argument("--satz", type=sci_int, default=None, metavar="M")
+    p.add_argument("--threads", type=positive_sci_int, default=None)
+    p.add_argument("--satz", type=positive_sci_int, default=None, metavar="M")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("goldbach-scan", cmd_goldbach_scan, help="mirrored-window prime scan")
@@ -425,7 +412,7 @@ def build_parser():
     p.add_argument("--lo", type=positive_sci_int, default=1)
     p.add_argument("--hi", type=positive_sci_int, default=10**4)
     p.add_argument("--min-singletons", type=sci_int, default=1)
-    p.add_argument("--modulus", type=sci_int, default=None)
+    p.add_argument("--modulus", type=positive_sci_int, default=None)
     p.add_argument("--residue", type=sci_int, default=0)
 
     return parser, submap

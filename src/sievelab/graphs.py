@@ -22,7 +22,9 @@ from .primes import gap_counts
 from .reportio import report_dict
 
 MAX_DENSE_N = 10_000
-DEFAULT_SEARCH_BUDGET = 2_000_000
+DEFAULT_SEARCH_BUDGET = 2_000_000  # contains_ktt node visits
+HEURISTIC_TRIES = 20_000  # random left sets contains_ktt samples for t > 3
+DENSITY_GRID = 25  # geometric cutoffs in the Polignac census
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ def build_graph(N: int, avoid) -> DiffGraph:
         raise ParameterConditionError(f"N must be >= 1, got {N}")
     if N > MAX_DENSE_N:
         raise ResourceBudgetError(
-            f"N = {N} exceeds the dense representation budget of {MAX_DENSE_N}"
+            f"N = {N} exceeds MAX_DENSE_N = {MAX_DENSE_N}, the dense adjacency budget"
         )
     member = avoid if callable(avoid) else (lambda m, s=frozenset(avoid): m in s)
     diff = np.zeros(N, dtype=bool)
@@ -113,20 +115,14 @@ def _verify_biclique(g: DiffGraph, left, right) -> bool:
     return all(g.has_edge(x, y) for x in left for y in right)
 
 
-def contains_ktt(
-    g: DiffGraph,
-    t: int,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    heuristic_tries: int = 20_000,
-    seed: int = 0,
-) -> KttSearchResult:
+def contains_ktt(g: DiffGraph, t: int) -> KttSearchResult:
     """Search for two disjoint t-sets with all t*t cross pairs present.
 
     t <= 3 runs an exhaustive branch-and-prune over left-side candidate
     sets (highest degree first, shrinking common neighborhoods); its
-    negative answers are exact.  Larger t samples random candidate sets and
-    reports negatives as non-exhaustive.  Node visits beyond `budget` raise
-    ResourceBudgetError.
+    negative answers are exact.  Larger t samples HEURISTIC_TRIES random
+    candidate sets (seed 0) and reports negatives as non-exhaustive.  Node
+    visits beyond DEFAULT_SEARCH_BUDGET raise ResourceBudgetError.
     """
     if t < 1:
         raise ParameterConditionError(f"t must be >= 1, got {t}")
@@ -139,6 +135,15 @@ def contains_ktt(
     order = [int(i) for i in order if degrees[i] >= t]
     visited = 0
 
+    def visit():
+        nonlocal visited
+        visited += 1
+        if visited > DEFAULT_SEARCH_BUDGET:
+            raise ResourceBudgetError(
+                f"subgraph search visited {visited} nodes, over "
+                f"DEFAULT_SEARCH_BUDGET = {DEFAULT_SEARCH_BUDGET}"
+            )
+
     def witness_from(left_idx, common_mask):
         right_idx = [int(i) for i in np.flatnonzero(common_mask)[:t]]
         left = tuple(int(verts[i]) for i in left_idx)
@@ -148,14 +153,9 @@ def contains_ktt(
 
     if t <= 3:
         def rec(start, chosen, common):
-            nonlocal visited
             for pos in range(start, len(order)):
                 i = order[pos]
-                visited += 1
-                if visited > budget:
-                    raise ResourceBudgetError(
-                        f"subgraph search exceeded {budget} nodes"
-                    )
+                visit()
                 new_common = common & adj[i]
                 new_common[i] = False
                 for c in chosen:
@@ -178,14 +178,12 @@ def contains_ktt(
             return KttSearchResult(t, True, hit[0], hit[1], True, visited)
         return KttSearchResult(t, False, None, None, True, visited)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pool = np.array(order, dtype=np.int64)
     if len(pool) < 2 * t:
         return KttSearchResult(t, False, None, None, True, 0)
-    for _ in range(heuristic_tries):
-        visited += 1
-        if visited > budget:
-            raise ResourceBudgetError(f"subgraph search exceeded {budget} nodes")
+    for _ in range(HEURISTIC_TRIES):
+        visit()
         left_idx = rng.choice(pool, size=t, replace=False)
         common = np.ones(n, dtype=bool)
         for i in left_idx:
@@ -256,14 +254,13 @@ def empirical_polignac_density(
     limit: int,
     threshold: int = 1,
     max_diff: int = 10_000,
-    n_grid: int = 25,
 ) -> PolignacDensityReport:
     """Classify even differences up to max_diff by prime-pair count.
 
     counts[m] is the number of prime pairs below `limit` at difference m
     (all pairs, not only consecutive).  Evens with counts below `threshold`
     are the exceptions; their cumulative count is tabulated on a geometric
-    grid of cutoffs M against the curves M^kappa.
+    grid of DENSITY_GRID cutoffs M against the curves M^kappa.
     """
     if max_diff < 2 or max_diff % 2:
         raise ParameterConditionError(
@@ -275,7 +272,7 @@ def empirical_polignac_density(
     evens = list(range(2, max_diff + 1, 2))
     exceptions = tuple(m for m in evens if counts[m] < threshold)
     # geometric grid of cutoffs, always ending at max_diff
-    raw = np.geomspace(2, max_diff, n_grid)
+    raw = np.geomspace(2, max_diff, DENSITY_GRID)
     grid = sorted({int(round(v / 2)) * 2 for v in raw} | {max_diff} - {0})
     exc_arr = np.array(exceptions, dtype=np.int64)
     cumulative = tuple(int((exc_arr <= M).sum()) for M in grid)

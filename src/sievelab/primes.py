@@ -26,6 +26,8 @@ DEFAULT_SIEVE_BUDGET = 200_000_000
 SEGMENT = 1 << 20
 # Ceiling on max_diff: gap_counts returns one map entry per difference.
 MAX_GAP_DIFF = 2_000_000
+# Width a primorial modulus may reach before primorial refuses it.
+PRIMORIAL_BITS = 64
 
 
 def _small_primes(limit: int) -> np.ndarray:
@@ -126,13 +128,12 @@ class PrimeTable:
         return int(self.primes.size)
 
 
-def sieve_range(
-    lo: int,
-    hi: int,
-    want_spf: bool = False,
-    budget: int = DEFAULT_SIEVE_BUDGET,
-) -> PrimeTable:
+def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     """Sieve the half-open range [lo, hi).
+
+    The allocated cells (the window length and the sqrt(hi) base-prime
+    sieve both count) may not exceed DEFAULT_SIEVE_BUDGET; more raises
+    ResourceBudgetError.
 
     Parameters
     ----------
@@ -140,10 +141,6 @@ def sieve_range(
         Range bounds, 0 <= lo < hi.
     want_spf : bool
         Also build the smallest-prime-factor array (doubles memory).
-    budget : int
-        Ceiling on allocated cells: the window length and the sqrt(hi)
-        base-prime sieve both count.  Exceeding it raises
-        ResourceBudgetError.
 
     Returns
     -------
@@ -152,10 +149,10 @@ def sieve_range(
     if lo < 0 or hi <= lo:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     cells = max(hi - lo, math.isqrt(hi - 1))
-    if cells > budget:
+    if cells > DEFAULT_SIEVE_BUDGET:
         raise ResourceBudgetError(
             f"sieve_range({lo}, {hi}) needs {cells} cells, over the budget "
-            f"of {budget} (default DEFAULT_SIEVE_BUDGET); lower --limit or --N"
+            f"DEFAULT_SIEVE_BUDGET = {DEFAULT_SIEVE_BUDGET}; lower --limit or --N"
         )
     n = hi - lo
     is_p = np.ones(n, dtype=bool)
@@ -344,21 +341,23 @@ def normalized_gaps(limit: int) -> GapSequence:
     return GapSequence(limit=limit, p=p, gap=gap, normalized=normalized)
 
 
-def primorial(bound: float, max_bits: int = 64) -> int:
+def primorial(bound: float) -> int:
     """Product of all primes <= bound.
 
-    The result is an exact Python integer but is required to fit in max_bits
-    bits; the first prime pushing it over raises OverflowError so callers
-    cannot silently build an impractically wide modulus.
+    The result is an exact Python integer but is required to fit in
+    PRIMORIAL_BITS bits; the first prime pushing it over raises
+    OverflowError so callers cannot silently build an impractically wide
+    modulus.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     prod = 1
     for p in _small_primes(int(bound)):
         prod *= int(p)
-        if prod.bit_length() > max_bits:
+        if prod.bit_length() > PRIMORIAL_BITS:
             raise OverflowError(
-                f"primorial({bound}) exceeds the {max_bits}-bit budget at prime {int(p)}"
+                f"primorial({bound}) needs {prod.bit_length()} bits at prime "
+                f"{int(p)}, over PRIMORIAL_BITS = {PRIMORIAL_BITS}; lower --w-bound"
             )
     return prod
 

@@ -35,6 +35,7 @@ MAX_SUPPORT_TUPLES = 5_000_000
 MAX_MOMENT_SPAN = 400_000_000
 SUPPORT_CACHE_SIZE = 32
 BLOCK = 1 << 17  # weight_array grid points per pass: 1 MB of float64
+MOMENT_SEGMENT = 1 << 21  # moment_sums n-values per segment
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ class SieveConfig:
         return build_support(self.R, self.W, self.params)
 
     as_dict = report_dict
-
-
-def default_params(k: int) -> KernelParams:
-    return KernelParams(k=k, base=2.0, slope=10.0, cutoff=0.4)
 
 
 def make_config(
@@ -105,7 +102,7 @@ def make_config(
         )
     W = primorial(w_bound)
     if params is None:
-        params = default_params(offsets.k)
+        params = KernelParams(k=offsets.k)
     if params.k != offsets.k:
         raise ParameterConditionError(
             f"params.k = {params.k} does not match the {offsets.k} offsets"
@@ -495,14 +492,13 @@ def moment_sums(
     hi: int,
     restrict: bool = True,
     threads: int | None = None,
-    segment_size: int = 1 << 21,
 ) -> MomentReport:
     """Moment sums over n in [lo, hi] (n = b0 mod W when restrict).
 
-    The range splits into fixed segments evaluated independently (optionally
-    on a thread pool); partial sums merge by compensated summation in
-    segment order, so totals do not depend on the thread count.  A span
-    over MAX_MOMENT_SPAN raises ResourceBudgetError.
+    The range splits into segments of MOMENT_SEGMENT n-values, evaluated on
+    a pool of `threads` workers (default 1); partial sums merge by
+    compensated summation in segment order, so totals do not depend on the
+    thread count.  A span over MAX_MOMENT_SPAN raises ResourceBudgetError.
     """
     if lo < 1:
         raise ParameterConditionError(f"window start must be >= 1, got {lo}")
@@ -512,16 +508,11 @@ def moment_sums(
             f"lower --N"
         )
     k = cfg.k
-    lambda_tuples(cfg)  # touch the cache before any threads fork
-    bounds = list(range(lo, hi + 1, segment_size)) + [hi + 1]
+    lambda_tuples(cfg)  # fill the cache before the workers read it
+    bounds = list(range(lo, hi + 1, MOMENT_SEGMENT)) + [hi + 1]
     jobs = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(
-                ex.map(lambda ab: _moment_segment(cfg, *ab, restrict), jobs)
-            )
-    else:
-        parts = [_moment_segment(cfg, a, b, restrict) for a, b in jobs]
+    with ThreadPoolExecutor(max_workers=threads or 1) as ex:
+        parts = list(ex.map(lambda ab: _moment_segment(cfg, *ab, restrict), jobs))
     n_count = sum(p[0] for p in parts)
     sum_w2 = math.fsum(p[1] for p in parts)
     pair = tuple(

@@ -163,6 +163,16 @@ class TestSingletonScan:
         full = cells.scan_singleton_cells(part, 3, 3000, min_singletons=3)
         assert set(scan.ns) == {n for n in full.ns if n % 210 == 11}
 
+    @pytest.mark.parametrize("modulus", [0, -6])
+    def test_modulus_below_one_refused(self, modulus):
+        # 0 used to scan every n, and -6 to return an empty scan
+        part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
+        msg = f"modulus must be >= 1, got {modulus}$"
+        with pytest.raises(ParameterConditionError, match=msg):
+            cells.scan_singleton_cells(part, 3, 200, 1, modulus=modulus, residue=5)
+        with pytest.raises(ParameterConditionError, match="modulus"):
+            cells.cell_statistic_sum(part, 3, 200, modulus=modulus, residue=5)
+
     def test_counts_rows_align(self):
         part = cells.partition_tuple((0, 2, 6, 8, 12, 18), theta=1.0, m=1)
         scan = cells.scan_singleton_cells(part, 3, 2000, min_singletons=2)

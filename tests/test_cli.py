@@ -19,7 +19,6 @@ from sievelab.cli import (
     main,
     offsets_arg,
     positive_sci_int,
-    resolve_threads,
     sci_int,
 )
 from sievelab.errors import InvariantViolationError, ParameterConditionError
@@ -82,18 +81,6 @@ class TestArgumentTypes:
         with pytest.raises(argparse.ArgumentTypeError):
             offsets_arg("0,1")  # not admissible
 
-    def test_resolve_threads_env(self, monkeypatch):
-        monkeypatch.setenv("WORKBENCH_THREADS", "5")
-        assert resolve_threads(None) == 5
-        assert resolve_threads(3) == 3  # explicit wins
-        monkeypatch.setenv("WORKBENCH_THREADS", "lots")
-        with pytest.raises(ParameterConditionError):
-            resolve_threads(None)
-
-    def test_resolve_threads_default(self, monkeypatch):
-        monkeypatch.delenv("WORKBENCH_THREADS", raising=False)
-        assert resolve_threads(None) >= 1
-
 
 class TestExitCodes:
     def test_usage_errors_exit_2(self):
@@ -122,6 +109,31 @@ class TestExitCodes:
     def test_resource_budget_exit_3(self):
         code, _, err = run_cli(["density", "--limit", "1e10"])
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SIEVE_ARGS[:-2] + ["--threads", "0"],
+            SIEVE_ARGS[:-2] + ["--threads", "-3"],
+            SIEVE_ARGS + ["--satz", "0"],
+            SIEVE_ARGS + ["--satz", "-1"],
+            ["gaps", "--tuple", "0,2,6", "--lo", "3", "--hi", "200", "--modulus", "0"],
+            ["gaps", "--tuple", "0,2,6", "--lo", "3", "--hi", "200",
+             "--modulus", "-6", "--residue", "5"],
+        ],
+        ids=["threads-0", "threads-neg", "satz-0",
+             "satz-neg", "modulus-0", "modulus-neg"],
+    )
+    def test_count_flags_must_be_positive(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "expected a positive integer" in err
+
+    def test_primorial_refusal_names_constant_and_flag(self):
+        code, out, err = run_cli(["sieve", "--N", "1e6", "--w-bound", "60"])
+        assert code == 4 and out == ""
+        assert "at prime 53" in err
+        assert "PRIMORIAL_BITS = 64" in err and "--w-bound" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -396,12 +408,6 @@ class TestDeterminism:
         _, out4, _ = run_cli(base + ["--threads", "4"])
         assert out1 == out4
 
-    def test_env_threads_fallback_matches_explicit(self, monkeypatch):
-        monkeypatch.setenv("WORKBENCH_THREADS", "2")
-        _, via_env, _ = run_cli(SIEVE_ARGS[:-2])
-        _, explicit, _ = run_cli(SIEVE_ARGS)
-        assert via_env == explicit
-
 
 class TestConfigFile:
     def write_ini(self, tmp_path, text):
@@ -455,6 +461,12 @@ class TestConfigFile:
         code, out, _ = run_cli(["--config", ini, "goldbach-scan"])
         assert code == 0
         assert json.loads(out)["result"]["witness_count"] > 0
+
+    def test_threads_key_must_be_positive(self, tmp_path):
+        ini = self.write_ini(tmp_path, "[sieve]\nN = 20000\nthreads = 0\n")
+        code, out, err = run_cli(["--config", ini, "sieve"])
+        assert code == 4 and out == ""
+        assert "'threads' in [sieve]" in err and "positive" in err
 
     def test_unknown_key_rejected(self, tmp_path):
         ini = self.write_ini(tmp_path, "[sieve]\nN = 20000\nbogus = 1\n")

@@ -74,6 +74,12 @@ class TestBuildGraph:
         with pytest.raises(ParameterConditionError):
             graphs.build_graph(0, set())
 
+    def test_budget_refusal_names_constant(self):
+        with pytest.raises(
+            ResourceBudgetError, match="N = 10001 exceeds MAX_DENSE_N = 10000"
+        ):
+            graphs.build_graph(10_001, set())
+
 
 class TestEdgeCounts:
     def formula(self, N, avoid_set, d):
@@ -170,12 +176,13 @@ class TestKttSearch:
         assert res.found  # complete graph: found immediately, witness valid
         assert all(g.has_edge(x, y) for x in res.left for y in res.right)
 
-    def test_heuristic_negative_flagged_incomplete(self):
+    def test_heuristic_negative_flagged_incomplete(self, monkeypatch):
         # degrees up to 8 keep the candidate pool alive, but the short
         # difference window admits no K_{4,4}; the sampler must say so
         # without claiming exhaustiveness
         g = graphs.build_graph(30, lambda m: m > 8)
-        res = graphs.contains_ktt(g, 4, heuristic_tries=50)
+        monkeypatch.setattr(graphs, "HEURISTIC_TRIES", 50)
+        res = graphs.contains_ktt(g, 4)
         assert not res.found and not res.exact
 
     def test_degree_pruning_negative_is_exact(self):
@@ -184,12 +191,24 @@ class TestKttSearch:
         res = graphs.contains_ktt(g, 4)
         assert not res.found and res.exact
 
-    def test_budget_raises(self):
+    def test_budget_raises(self, monkeypatch):
         # only differences 2 and 4 present: K_{3,3}-free but degree 4, so
         # the exhaustive search has real work to do and must hit the budget
         g = graphs.build_graph(400, lambda m: m > 4)
+        monkeypatch.setattr(graphs, "DEFAULT_SEARCH_BUDGET", 10)
         with pytest.raises(ResourceBudgetError):
-            graphs.contains_ktt(g, 3, budget=10)
+            graphs.contains_ktt(g, 3)
+
+    @pytest.mark.parametrize("N, reach, t", [(400, 4, 3), (30, 8, 4)])
+    def test_budget_refusal_names_constant(self, monkeypatch, N, reach, t):
+        # the exhaustive search (t <= 3) and the sampler refuse alike
+        g = graphs.build_graph(N, lambda m: m > reach)
+        monkeypatch.setattr(graphs, "DEFAULT_SEARCH_BUDGET", 10)
+        with pytest.raises(
+            ResourceBudgetError,
+            match="visited 11 nodes, over DEFAULT_SEARCH_BUDGET = 10$",
+        ):
+            graphs.contains_ktt(g, t)
 
     def test_t_validation(self):
         g = graphs.build_graph(5, set())
@@ -198,7 +217,7 @@ class TestKttSearch:
 
 
 class TestSurfingCompatibility:
-    def test_surfed_subsets_keep_cross_pairs_as_edges(self):
+    def test_surfed_subsets_keep_cross_pairs_as_edges(self, monkeypatch):
         # a found biclique gives disjoint pools whose cross differences all
         # avoid the forbidden set; surfing then extracts admissible
         # same-size subsets, and the cross pairs must stay edges
@@ -206,7 +225,8 @@ class TestSurfingCompatibility:
         size = surfing_start_size(k)
         avoid = {12}
         g = graphs.build_graph(120, avoid)
-        res = graphs.contains_ktt(g, size, heuristic_tries=5000, seed=3)
+        monkeypatch.setattr(graphs, "HEURISTIC_TRIES", 5000)
+        res = graphs.contains_ktt(g, size)
         assert res.found
         trace = surfing(res.left, res.right, k)
         assert len(trace.x) == len(trace.y) == k

@@ -96,18 +96,23 @@ def test_two_is_the_only_even_prime():
     assert evens.tolist() == [2]
 
 
-def test_sieve_budget_error_names_budget():
+def test_sieve_budget_error_names_budget(monkeypatch):
+    # refused before any allocation, naming the constant and its value
+    with pytest.raises(ResourceBudgetError, match="DEFAULT_SIEVE_BUDGET = 200000000;"):
+        sieve_range(0, 200_000_002)
+    monkeypatch.setattr(primes, "DEFAULT_SIEVE_BUDGET", 1_000_000)
     with pytest.raises(ResourceBudgetError, match="budget"):
-        sieve_range(0, 2_000_000, budget=1_000_000)
+        sieve_range(0, 2_000_000)
 
 
-def test_budget_counts_window_not_endpoint():
+def test_budget_counts_window_not_endpoint(monkeypatch):
     # a short window far out allocates little, whatever hi is
     table = sieve_range(10**12, 10**12 + 200)
     assert table.primes[0] == 10**12 + 39
     # the base sieve up to sqrt(hi) still counts against the budget
+    monkeypatch.setattr(primes, "DEFAULT_SIEVE_BUDGET", 10**5)
     with pytest.raises(ResourceBudgetError):
-        sieve_range(10**12, 10**12 + 200, budget=10**5)
+        sieve_range(10**12, 10**12 + 200)
 
 
 def test_contains_means_prime_membership():
@@ -350,13 +355,17 @@ def test_primorial_values():
     assert primorial(23) == 223_092_870
 
 
-def test_primorial_overflow_names_prime():
+def test_primorial_overflow_names_prime(monkeypatch):
     with pytest.raises(OverflowError, match=r"prime \d+"):
-        primorial(200, max_bits=64)
+        primorial(200)
+    with pytest.raises(OverflowError, match="PRIMORIAL_BITS = 64; lower --w-bound"):
+        primorial(200)
     # 2*3*5*7 = 210 needs 8 bits
+    monkeypatch.setattr(primes, "PRIMORIAL_BITS", 7)
     with pytest.raises(OverflowError):
-        primorial(7, max_bits=7)
-    assert primorial(7, max_bits=8) == 210
+        primorial(7)
+    monkeypatch.setattr(primes, "PRIMORIAL_BITS", 8)
+    assert primorial(7) == 210
 
 
 def test_largest_prime_factor_values():

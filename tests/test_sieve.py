@@ -429,11 +429,12 @@ class TestMomentSums:
                     acc_pair[i][j], rel=1e-12, abs=1e-18
                 )
 
-    def test_negative_offset_reads_primality_not_wrapped_cells(self):
+    def test_negative_offset_reads_primality_not_wrapped_cells(self, monkeypatch):
         # n - 2 lies below each segment start: read it, do not wrap to the table's end
         cfg = rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4))
         rep = sieve.moment_sums(cfg, 1, 3000, restrict=False)
-        seg = sieve.moment_sums(cfg, 1, 3000, restrict=False, segment_size=1000)
+        monkeypatch.setattr(sieve, "MOMENT_SEGMENT", 1000)
+        seg = sieve.moment_sums(cfg, 1, 3000, restrict=False)
         assert (seg.sum_w2, seg.prime_sq_sums) == (rep.sum_w2, rep.prime_sq_sums)
         # one pair sum differs in the last bit: segments merge in another order
         for row, seg_row in zip(rep.pair_sq_sums, seg.pair_sq_sums):
@@ -449,12 +450,10 @@ class TestMomentSums:
             assert rep.pair_sq_sums[i][j] == pytest.approx(oracle, rel=1e-12)
         assert rep.prime_sq_sums == tuple(rep.pair_sq_sums[i][i] for i in range(3))
 
-    def test_thread_count_never_changes_totals(self):
+    def test_thread_count_never_changes_totals(self, monkeypatch):
         cfg = rich_config()
-        reps = [
-            sieve.moment_sums(cfg, 1, 50000, segment_size=1 << 13, threads=t)
-            for t in (None, 2, 4)
-        ]
+        monkeypatch.setattr(sieve, "MOMENT_SEGMENT", 1 << 13)
+        reps = [sieve.moment_sums(cfg, 1, 50000, threads=t) for t in (None, 2, 4)]
         for other in reps[1:]:
             assert other.sum_w2 == reps[0].sum_w2
             assert other.prime_sq_sums == reps[0].prime_sq_sums

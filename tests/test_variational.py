@@ -451,6 +451,11 @@ class TestFourierCheck:
             assert e.abs_diff < 1e-4
             assert e.lhs > 0 and e.rhs > 0
 
+    def test_passes_above_grid_resolution_limit(self):
+        # 6400 samples give 800 frequencies; below about 6000 the grid, not
+        # the identity, decides the verdict (see the docstring)
+        assert fourier_kernel_check(n_samples=6400).all_passed
+
     def test_rhs_matches_mpmath(self):
         # integral of f'(t)^2 over [0, 1], mpmath at 30 digits
         want = {
