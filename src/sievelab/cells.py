@@ -169,6 +169,11 @@ def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
         raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if modulus is not None and modulus < 1:
         raise ParameterConditionError(f"modulus must be >= 1, got {modulus}")
+    if modulus is None and residue:
+        raise ParameterConditionError(
+            f"residue {residue} restricts nothing without a modulus; "
+            "pass --modulus with --residue"
+        )
     step = modulus or 1
     ns = range(lo + (residue - lo) % step, hi + 1, step)
     entries = len(part.cells) * len(ns)

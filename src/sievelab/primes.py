@@ -186,17 +186,23 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
         if lo <= 1 < hi:
             spf[1 - lo] = 1
 
-    primes = (lo + np.flatnonzero(is_p)).astype(np.int64)
+    primes = np.flatnonzero(is_p).astype(np.int64, copy=False)
+    primes += lo
     return PrimeTable(lo=lo, hi=hi, is_prime=is_p, primes=primes, spf=spf)
 
 
 def goldbach_numbers(limit: int) -> np.ndarray:
     """All n <= limit expressible as a sum of two primes, ascending.
 
-    Odd n is such a sum exactly when n - 2 is prime.  Even n take primes
-    p in ascending order, as in Oliveira e Silva, Herzog and Pardi (Math.
-    Comp. 2014): each unresolved n >= 2p tests n - p, and an even n below
-    2p has tried every prime up to n/2, so the result is exact.
+    Odd n is such a sum exactly when n - 2 is prime.  Apart from 4 = 2 + 2,
+    even n = 2m is a sum of two odd primes p <= n - p, and n - p is prime
+    exactly when odd[m - (p + 1)/2] is set, where odd[i] says 2i + 1 is
+    prime.  So the m are taken in blocks of SEGMENT, and each block ORs in
+    the odd mask shifted by (p + 1)/2 for ascending odd primes p, over the
+    m >= p of the block, as Oliveira e Silva, Herzog and Pardi (Math. Comp.
+    2014) search the smallest prime over segmented bitmaps.  A block stops
+    once every m in it is resolved or p reaches its top: by then each open
+    m has tried every odd prime up to m = n/2, so the result is exact.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -204,18 +210,27 @@ def goldbach_numbers(limit: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     table = sieve_range(0, limit + 1)
     is_p = table.is_prime
+    odd = np.ascontiguousarray(is_p[1::2])
+    half = limit // 2 + 1
+    even = np.zeros(half, dtype=bool)  # even[m]: 2m is a sum of two primes
+    even[2] = True
+    odd_primes = table.primes[1:]
+    for m0 in range(0, half, SEGMENT):
+        m1 = min(m0 + SEGMENT, half)
+        first = max(m0, 3)  # every m in the block below first is decided
+        for p in odd_primes:
+            p = int(p)
+            if p >= m1:
+                break
+            a, s = max(first, p), (p + 1) // 2
+            even[a:m1] |= odd[a - s : m1 - s]
+            first += int(np.argmin(even[first:m1]))  # stops at the first open m
+            if even[first]:
+                break
     reachable = np.zeros(limit + 1, dtype=bool)
+    reachable[::2] = even
     reachable[5::2] = is_p[3 : limit - 1 : 2]
-    open_n = np.arange(4, limit + 1, 2, dtype=np.int64)
-    for p in table.primes:
-        # open_n ascends: those below 2p are decided misses and drop out
-        open_n = open_n[np.searchsorted(open_n, 2 * p) :]
-        if open_n.size == 0:
-            break
-        hit = is_p[open_n - p]
-        reachable[open_n[hit]] = True
-        open_n = open_n[~hit]
-    return np.flatnonzero(reachable).astype(np.int64)
+    return np.flatnonzero(reachable).astype(np.int64, copy=False)
 
 
 @dataclass

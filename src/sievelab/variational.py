@@ -555,6 +555,38 @@ FOURIER_TEST_FUNCTIONS = {
 }
 
 
+def _identity_sides_on(n_freq: int) -> Callable:
+    """(f, f_prime) -> both sides of the identity on the n_freq-node grid.
+
+    The phase matrix and the kernel depend only on the grid, so they are
+    built once here and shared by every function passed to the result.
+    """
+    nodes, weights = _gauss_legendre(512)
+    ts = 0.5 * (nodes + 1.0)  # [0, 1]
+    tw = 0.5 * weights
+    xi_nodes, xi_w = _gauss_legendre(n_freq)
+    xis = FREQ_MAX * xi_nodes
+    xiw = FREQ_MAX * xi_w
+    phase = np.exp(1j * np.outer(xis, ts))
+    a = 1.0 + 1j * xis
+    kernel = np.add.outer(a, a)  # 2 + i xi + i xi'
+    half, half_w = _gauss_legendre(256)
+    t = 0.25 * (half + 1.0)  # [0, 0.5], then shifted onto [0.5, 1]
+
+    def sides(f: Callable, f_prime: Callable) -> tuple[float, float]:
+        fv = np.asarray(f(ts), dtype=float)
+        # hat(xi) = (1/2pi) * integral e^t f(t) e^(i t xi) dt
+        hat = phase @ (np.exp(ts) * fv * tw) / (2.0 * np.pi)
+        wh = xiw * hat
+        lhs_mat = np.outer(a * wh, a * wh) / kernel
+        lhs = float(lhs_mat.sum().real)
+        fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
+        rhs = math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
+        return lhs, rhs
+
+    return sides
+
+
 def fourier_identity_sides(
     f: Callable, f_prime: Callable, n_freq: int = 1200
 ) -> tuple[float, float]:
@@ -567,29 +599,7 @@ def fourier_identity_sides(
     left truncated to |xi| <= FREQ_MAX on an n_freq-node Gauss-Legendre
     grid, the right a Gauss-Legendre rule of 256 nodes on each half of [0, 1].
     """
-    nodes, weights = _gauss_legendre(512)
-    ts = 0.5 * (nodes + 1.0)  # [0, 1]
-    tw = 0.5 * weights
-    fv = np.asarray(f(ts), dtype=float)
-
-    xi_nodes, xi_w = _gauss_legendre(n_freq)
-    xis = FREQ_MAX * xi_nodes
-    xiw = FREQ_MAX * xi_w
-    # hat(xi) = (1/2pi) * integral e^t f(t) e^(i t xi) dt
-    phase = np.exp(1j * np.outer(xis, ts))
-    hat = phase @ (np.exp(ts) * fv * tw) / (2.0 * np.pi)
-
-    a = 1.0 + 1j * xis
-    wh = xiw * hat
-    kernel = np.add.outer(a, a)  # 2 + i xi + i xi'
-    lhs_mat = np.outer(a * wh, a * wh) / kernel
-    lhs = float(lhs_mat.sum().real)
-
-    half, half_w = _gauss_legendre(256)
-    t = 0.25 * (half + 1.0)  # [0, 0.5], then shifted onto [0.5, 1]
-    fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
-    rhs = math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
-    return lhs, rhs
+    return _identity_sides_on(n_freq)(f, f_prime)
 
 
 @dataclass(frozen=True)
@@ -631,9 +641,10 @@ def fourier_kernel_check(
     if n_samples < 1:
         raise ParameterConditionError("n_samples must be positive")
     n_freq = int(min(2400, max(400, n_samples // 8)))
+    sides = _identity_sides_on(n_freq)
     entries = []
     for name, (f, fp) in FOURIER_TEST_FUNCTIONS.items():
-        lhs, rhs = fourier_identity_sides(f, fp, n_freq=n_freq)
+        lhs, rhs = sides(f, fp)
         diff = abs(lhs - rhs)
         entries.append(FourierCheckEntry(name, lhs, rhs, diff, diff < tolerance))
     return FourierCheckReport(n_samples, seed, tolerance, tuple(entries))

@@ -173,6 +173,15 @@ class TestSingletonScan:
         with pytest.raises(ParameterConditionError, match="modulus"):
             cells.cell_statistic_sum(part, 3, 200, modulus=modulus, residue=5)
 
+    def test_residue_without_modulus_refused(self):
+        # used to scan every n while the caller believed in a residue class
+        part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
+        msg = "residue 5 restricts nothing without a modulus.*--modulus.*--residue"
+        with pytest.raises(ParameterConditionError, match=msg):
+            cells.scan_singleton_cells(part, 3, 200, 1, residue=5)
+        with pytest.raises(ParameterConditionError, match=msg):
+            cells.cell_statistic_sum(part, 3, 200, residue=5)
+
     def test_counts_rows_align(self):
         part = cells.partition_tuple((0, 2, 6, 8, 12, 18), theta=1.0, m=1)
         scan = cells.scan_singleton_cells(part, 3, 2000, min_singletons=2)

@@ -129,6 +129,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "expected a positive integer" in err
 
+    def test_residue_without_modulus_refused(self):
+        argv = ["gaps", "--tuple", "0,2,6", "--lo", "3", "--hi", "200"]
+        code, out, err = run_cli(argv + ["--residue", "5"])
+        assert code == 4 and out == ""
+        assert "--residue" in err and "--modulus" in err
+        code, out, _ = run_cli(argv + ["--residue", "0"])
+        assert code == 0 and "# residue=0" in out
+
     def test_primorial_refusal_names_constant_and_flag(self):
         code, out, err = run_cli(["sieve", "--N", "1e6", "--w-bound", "60"])
         assert code == 4 and out == ""

@@ -49,15 +49,20 @@ def trial_division_mask(lo, hi):
     return (n >= 2) & ~composite
 
 
+def fft_two_sums(mask):
+    """Oracle: the n < mask.size that are a sum of two members of the set
+    mask marks, read off a full FFT self-convolution (counts stay far inside
+    float64 exactness)."""
+    pvec = mask.astype(np.float64)
+    reachable = fftconvolve(pvec, pvec)[: mask.size] > 0.5
+    return np.flatnonzero(reachable).astype(np.int64)
+
+
 def fft_goldbach_numbers(limit):
-    """Oracle: sums of two primes read off a full FFT self-convolution of the
-    prime indicator (counts stay far inside float64 exactness)."""
+    """Oracle: sums of two primes up to limit."""
     if limit < 4:
         return np.zeros(0, dtype=np.int64)
-    pvec = sieve_range(0, limit + 1).is_prime.astype(np.float64)
-    reachable = fftconvolve(pvec, pvec)[: limit + 1] > 0.5
-    reachable[:4] = False
-    return np.flatnonzero(reachable).astype(np.int64)
+    return fft_two_sums(sieve_range(0, limit + 1).is_prime)
 
 
 def shift_and_gap_counts(limit, max_diff):
@@ -213,9 +218,47 @@ def test_goldbach_numbers_against_brute_force():
     assert goldbach_numbers(limit).tolist() == brute
 
 
-@given(st.integers(min_value=0, max_value=600))
+@given(st.integers(min_value=0, max_value=600), st.integers(min_value=1, max_value=13))
 @settings(max_examples=60, deadline=None)
-def test_goldbach_numbers_match_fft_oracle(limit):
+def test_goldbach_numbers_match_fft_oracle(limit, segment):
+    # blocks of 1..13 even numbers put block edges and early exits in the table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", segment)
+        got = goldbach_numbers(limit)
+    assert np.array_equal(got, fft_goldbach_numbers(limit))
+
+
+@given(
+    st.integers(min_value=0, max_value=600),
+    st.integers(min_value=1, max_value=13),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_goldbach_kernel_is_exact_on_thinned_primes(limit, segment, seed):
+    # Every even n in 4..600 is a sum of two primes, so against the true
+    # primes a kernel that marks too many even n looks right.  Dropping odd
+    # primes at random leaves even n that are no such sum, and blocks that
+    # only stop when p reaches their top.
+    sieve = primes.sieve_range
+    keep = np.random.default_rng(seed).random(limit + 3) < 0.6
+    keep[2] = True  # the kernel reads 4 = 2 + 2 and odd n = 2 + (n - 2)
+
+    def thinned(lo, hi):
+        table = sieve(lo, hi)
+        mask = table.is_prime & keep[lo:hi]
+        return primes.PrimeTable(lo, hi, mask, lo + np.flatnonzero(mask))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", segment)
+        mp.setattr(primes, "sieve_range", thinned)
+        got = goldbach_numbers(limit)
+        want = fft_two_sums(thinned(0, limit + 1).is_prime) if limit >= 4 else []
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("limit", [4, 5, 6, 2 * SEGMENT + 3])
+def test_goldbach_numbers_match_fft_oracle_at_edges(limit):
+    # 2 * SEGMENT and 2 * SEGMENT + 2 open the second block of even numbers
     assert np.array_equal(goldbach_numbers(limit), fft_goldbach_numbers(limit))
 
 

@@ -481,6 +481,14 @@ class TestFourierCheck:
         assert abs(lhs2 / lhs1 - 4) < 1e-9
         assert abs(rhs2 / rhs1 - 4) < 1e-9
 
+    @pytest.mark.parametrize("n_samples, n_freq", [(1, 400), (10**4, 1250)])
+    def test_shared_grid_gives_the_per_function_sides(self, n_samples, n_freq):
+        # the check builds its grid once for all three functions
+        rep = fourier_kernel_check(n_samples)
+        for e, (name, (f, fp)) in zip(rep.entries, FOURIER_TEST_FUNCTIONS.items()):
+            assert e.name == name
+            assert (e.lhs, e.rhs) == fourier_identity_sides(f, fp, n_freq=n_freq)
+
     def test_deterministic(self):
         a = fourier_kernel_check(10**4, seed=1)
         b = fourier_kernel_check(10**4, seed=2)  # seed is provenance only
