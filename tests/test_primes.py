@@ -252,7 +252,7 @@ def test_goldbach_kernel_is_exact_on_thinned_primes(limit, segment, seed):
         mp.setattr(primes, "SEGMENT", segment)
         mp.setattr(primes, "sieve_range", thinned)
         got = goldbach_numbers(limit)
-        want = fft_two_sums(thinned(0, limit + 1).is_prime) if limit >= 4 else []
+        want = fft_two_sums(thinned(0, limit + 1).is_prime)
     assert np.array_equal(got, want)
 
 
