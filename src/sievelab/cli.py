@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import decimal
-import os
 import sys
 
 import numpy as np
@@ -181,9 +180,8 @@ def cmd_sieve(args) -> int:
         lo, hi = cfg.N, 2 * cfg.N - 1
     else:
         lo, hi = 1, cfg.N
-    threads = args.threads or os.cpu_count() or 1
     rep = sieve.moment_sums(
-        cfg, lo, hi, restrict=not args.unrestricted, threads=threads
+        cfg, lo, hi, restrict=not args.unrestricted, threads=args.threads
     )
     config = _flat_sieve_config(cfg)
     config.update(
@@ -256,6 +254,12 @@ def cmd_density(args) -> int:
 
 def cmd_gaps(args) -> int:
     if args.beta is not None:
+        gaps = build_parser()[1]["gaps"]  # its defaults, before any config file
+        scan = "tuple theta m n_cells lo hi min_singletons modulus residue".split()
+        stray = [d for d in scan if getattr(args, d) != gaps.get_default(d)]
+        if stray:
+            flags = ", ".join("--" + d.replace("_", "-") for d in stray)
+            raise ParameterConditionError(f"--beta mode ignores the scan flags {flags}")
         gap_seq = primes.normalized_gaps(args.gap_limit)
         gap_vals = sorted(set(np.round(gap_seq.normalized, 6).tolist()))
         res = cells.beta_subsequence_check(
@@ -381,7 +385,7 @@ def build_parser():
         help="scan the upper half [N, 2N) of the doubled window (default [1, N])",
     )
     p.add_argument("--unrestricted", action="store_true")
-    p.add_argument("--threads", type=positive_sci_int, default=None)
+    p.add_argument("--threads", type=positive_sci_int, default=1)
     p.add_argument("--satz", type=positive_sci_int, default=None, metavar="M")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

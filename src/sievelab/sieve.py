@@ -1,17 +1,16 @@
 """Divisor-sum sieve weights and their moment sums at desk scale.
 
-The weight of n is a sum, over tuples of divisors d_i | n + h_i, of
-mu-signed values of a multivariate test function evaluated at the points
-log d_i / log R.  Three implementations coexist on purpose: a per-n
-divisor-walk (`weight`), a definitional oracle (`naive_weight`), and a
-vectorized path that enumerates the divisor tuples once globally and adds
-each coefficient along its arithmetic progression (`weight_array`).  All
-three read one `Support` (Moebius table, divisors, support primes and the
-nonzero divisor tuples), built once per (R, W, params) and cached.  Its
-tuple count is exact, so a refusal (ResourceBudgetError, CLI exit code 3)
-names the number of tuples the enumeration would visit.  The moment sums,
-the two-parameter domination check, and the mirrored-window scan are built
-on top.
+The weight of n is the sum of lambda_d, a mu-signed multivariate test
+function at the points log d_i / log R, over tuples of divisors
+d_i | n + h_i.  One cached `Support` per (R, W, params) holds the Moebius
+table, the divisors, the support primes and the one table of lambda, with
+an exact tuple count (a refusal, ResourceBudgetError or CLI exit code 3,
+names it).  Three weight paths coexist on purpose: a per-n divisor walk
+reading that table (`weight`), a definitional oracle evaluating the test
+function itself (`naive_weight`), and a vectorized path placing each
+lambda along its progression of n by the one CRT placement `_place`
+(`weight_array`).  The moment sums, the profile-swap domination check
+(placed on the grid the same way) and the mirrored-window scan build on it.
 """
 
 from __future__ import annotations
@@ -20,8 +19,10 @@ import bisect
 import functools
 import itertools
 import math
+from collections.abc import ItemsView
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -165,14 +166,15 @@ class Support:
     the d with mu[d] != 0 in ascending order (1 included), primes the
     primes <= R not dividing W.  visits is the exact number of ordered
     k-tuples of divisors with product <= R, which the enumeration walks;
-    tuples holds those with a nonzero coefficient, in enumeration order.
+    coeff, read-only and in enumeration order, maps each tuple with a
+    nonzero coefficient to it: the one table of lambda.
     """
 
     mu: np.ndarray
     divisors: tuple[int, ...]
     primes: tuple[int, ...]
     visits: int
-    tuples: tuple[tuple[tuple[int, ...], float], ...]
+    coeff: MappingProxyType[tuple[int, ...], float]
 
 
 @functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
@@ -214,7 +216,7 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
         )
     log_r = math.log(R)
     mu_of = mu.tolist()
-    out = []
+    out = {}
     tup = [1] * params.k
     ts = [0.0] * params.k
 
@@ -222,7 +224,7 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
         if i == params.k:
             val = test_function_value(params, ts)
             if val != 0.0:
-                out.append((tuple(tup), sign * val))
+                out[tuple(tup)] = sign * val
             return
         for d in divisors:
             if prod * d > R:
@@ -235,12 +237,12 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
 
     rec(0, 1, 1)
     support_primes = tuple(p for p in small if W % p)
-    return Support(mu, divisors, support_primes, visits, tuple(out))
+    return Support(mu, divisors, support_primes, visits, MappingProxyType(out))
 
 
-def lambda_tuples(cfg: SieveConfig) -> tuple[tuple[tuple[int, ...], float], ...]:
+def lambda_tuples(cfg: SieveConfig) -> ItemsView[tuple[int, ...], float]:
     """All divisor tuples carrying a nonzero coefficient, with the values."""
-    return cfg.support.tuples
+    return cfg.support.coeff.items()
 
 
 def lambda_coeff(cfg: SieveConfig, d) -> float:
@@ -253,12 +255,7 @@ def lambda_coeff(cfg: SieveConfig, d) -> float:
         raise ParameterConditionError(f"expected {cfg.k} divisors, got {len(d)}")
     if any(v < 1 for v in d):
         raise ParameterConditionError("divisors must be >= 1")
-    if math.prod(d) > cfg.R:
-        return 0.0
-    sign = math.prod(int(cfg.support.mu[v]) for v in d)
-    log_r = math.log(cfg.R)
-    ts = [math.log(v) / log_r for v in d]
-    return sign * test_function_value(cfg.params, ts)
+    return cfg.support.coeff.get(d, 0.0)
 
 
 def _distinct_support_primes(m: int, cfg: SieveConfig, table) -> list[int]:
@@ -274,52 +271,41 @@ def _distinct_support_primes(m: int, cfg: SieveConfig, table) -> list[int]:
     return [p for p in cfg.support.primes if m % p == 0]
 
 
-def weight(cfg: SieveConfig, n: int, table=None, coord_factor=None) -> float:
+def weight(cfg: SieveConfig, n: int, table=None) -> float:
     """Sieve weight of n by depth-first walk over divisor tuples.
 
-    coord_factor, when given, replaces the per-coordinate test-function
-    factor: called as coord_factor(i, t).  The simplex cap of cfg.params
-    still applies.  table is an optional smallest-prime-factor table
-    covering the n + h_i.
+    Each d_i runs over the squarefree products of the support primes of
+    n + h_i, pruned by prod(d) <= R, and each tuple reached adds its
+    lambda from the Support (zero off it).  table is an optional
+    smallest-prime-factor table covering the n + h_i.
     """
     entries = [n + h for h in cfg.offsets]
     if any(m < 1 for m in entries):
         raise ParameterConditionError(f"n + h must be >= 1; n = {n}")
-    if coord_factor is None:
-        coord_factor = lambda i, t: coordinate_factor(cfg.params, t)
-    log_r = math.log(cfg.R)
-    tau = cfg.params.sum_cap
+    coeff = cfg.support.coeff
     prime_lists = [_distinct_support_primes(m, cfg, table) for m in entries]
 
     total = 0.0
 
-    def rec(i, prod, sign, tsum, fac):
+    def rec(i, prod, d):
         nonlocal total
         if i == cfg.k:
-            total += sign * fac
+            total += coeff.get(d, 0.0)
             return
         # d_i = 1 branch first, then squarefree products of the prime list
-        base = coord_factor(i, 0.0)
-        if base != 0.0:
-            rec(i + 1, prod, sign, tsum, fac * base)
+        rec(i + 1, prod, d + (1,))
         primes = prime_lists[i]
 
-        def grow(j, d, dsign):
+        def grow(j, di):
             for idx in range(j, len(primes)):
-                p = primes[idx]
-                nd = d * p
-                if prod * nd > cfg.R:
-                    continue
-                t = math.log(nd) / log_r
-                if tsum + t <= tau:
-                    f = coord_factor(i, t)
-                    if f != 0.0:
-                        rec(i + 1, prod * nd, sign * dsign * -1, tsum + t, fac * f)
-                grow(idx + 1, nd, dsign * -1)
+                nd = di * primes[idx]
+                if prod * nd <= cfg.R:
+                    rec(i + 1, prod * nd, d + (nd,))
+                    grow(idx + 1, nd)
 
-        grow(0, 1, 1)
+        grow(0, 1)
 
-    rec(0, 1, 1, 0.0, 1.0)
+    rec(0, 1, ())
     return total
 
 
@@ -355,26 +341,16 @@ def _crt_merge(a1: int, m1: int, a2: int, m2: int):
     return x, l
 
 
-def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
-    """Weights for all n in [lo, hi], vectorized.
-
-    Returns (start, step, values): n = start + j*step runs over the grid
-    (step = W with n = b0 mod W when restrict, else step 1), values[j] the
-    weight.  Each globally enumerated divisor tuple solves its system of
-    congruences n = -h_i mod d_i once, giving a progression of grid
-    positions.  The coefficients are then added block by block (BLOCK grid
-    points, cache-resident), every tuple in enumeration order inside each
-    block: each values[j] receives the same additions in the same order as
-    a whole-array pass would make, so the result is bit-identical to it.
-    """
-    step = cfg.W if restrict else 1
-    start = lo + (cfg.b0 - lo) % step
-    w = np.zeros(max((hi - start) // step + 1, 0))
-    if len(w) == 0:
-        return start, step, w
+def _place(cfg: SieveConfig, tuples, start: int, step: int, count: int) -> np.ndarray:
+    """values[j] = sum of c over the (d, c) in tuples with every d_i | n + h_i,
+    at n = start + j*step (j < count).  Each tuple's congruences, from the
+    grid's class start mod step, give a progression of grid positions; the
+    values are added block by block (BLOCK points, cache-resident), in the
+    given order inside each block, so values[j] is bit-identical to a
+    whole-array pass."""
     progressions = []
-    for dt, lam in lambda_tuples(cfg):
-        a, m = (cfg.b0, cfg.W) if restrict else (0, 1)
+    for dt, c in tuples:
+        a, m = start % step, step
         for d, h in zip(dt, cfg.offsets):
             if d == 1:
                 continue
@@ -383,15 +359,28 @@ def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
                 break
             a, m = merged
         else:
-            # positions j with start + j*step = a (mod m): step divides m,
-            # and a = start (mod step) since both are b0 mod W when restricted
+            # positions j with start + j*step = a (mod m): step divides m
             stride = m // step
-            progressions.append(((a - start) // step % stride, stride, lam))
-    for b in range(0, len(w), BLOCK):
+            progressions.append(((a - start) // step % stride, stride, c))
+    w = np.zeros(count)
+    for b in range(0, count, BLOCK):
         block = w[b : b + BLOCK]
-        for first, stride, lam in progressions:
-            block[(first - b) % stride :: stride] += lam
-    return start, step, w
+        for first, stride, c in progressions:
+            block[(first - b) % stride :: stride] += c
+    return w
+
+
+def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
+    """Weights for all n in [lo, hi], vectorized.
+
+    Returns (start, step, values): n = start + j*step runs over the grid
+    (step = W with n = b0 mod W when restrict, else 1), values[j] the weight.
+    """
+    step = cfg.W if restrict else 1
+    start = lo + (cfg.b0 - lo) % step
+    count = max((hi - start) // step + 1, 0)
+    tuples = lambda_tuples(cfg) if count else ()
+    return start, step, _place(cfg, tuples, start, step, count)
 
 
 @dataclass(frozen=True)
@@ -550,45 +539,49 @@ def tao_domination_check(
     hi: int,
 ) -> TaoCheckReport:
     """Compare the weight against a hybrid whose coordinate factors at
-    positions i and j switch to alt_params away from t = 0.
+    positions i and j switch to alt_params where d > 1.
 
     The hybrid agrees with the original on every tuple with d_i = d_j = 1,
-    so on n where both n + h_i and n + h_j are prime and above R the two
-    weights must match exactly (those entries then admit no divisor in the
-    support besides 1).  Any nonzero difference is a violation.
+    the only tuples that reach an n with n + h_i and n + h_j both prime and
+    above R, so the weights must match exactly there.  lambda - lambda_alt,
+    over the Support tuples where they differ, is placed on the grid
+    [lo, hi] and read at those n: any nonzero entry is a violation.
     """
     if i == j or not (0 <= i < cfg.k and 0 <= j < cfg.k):
         raise ParameterConditionError(f"need distinct indices below {cfg.k}")
     if alt_params.k != cfg.k:
         raise ParameterConditionError("alt_params.k must match the offsets")
-
-    def hybrid(ci, t):
-        if ci in (i, j) and t != 0.0:
-            return coordinate_factor(alt_params, t)
-        return coordinate_factor(cfg.params, t)
+    log_r = math.log(cfg.R)
+    swapped = []
+    for dt, lam in cfg.support.coeff.items():
+        if dt[i] == dt[j] == 1:
+            continue
+        factors = (
+            coordinate_factor(alt_params if c in (i, j) and d > 1 else cfg.params,
+                              math.log(d) / log_r)
+            for c, d in enumerate(dt)
+        )
+        # lambda is mu(d_1)...mu(d_k) times a positive product of factors
+        lam_alt = math.copysign(math.prod(factors), lam)
+        if lam_alt != lam:
+            swapped.append((dt, lam - lam_alt))
 
     lo = max(lo, 1)
     max_h = cfg.offsets.offsets[-1]
-    # start the table at 2 so factor chains can be walked inside it
-    table = sieve_range(2, hi + max_h + 1, want_spf=True)
+    table = sieve_range(2, hi + max_h + 1)
     h_i, h_j = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
     n_scanned = max(0, hi - lo + 1)
     cand = table.along(lo + h_i, 1, n_scanned) & table.along(lo + h_j, 1, n_scanned)
     # both entries must also exceed R: n > R - min(h_i, h_j)
     cand[: max(0, cfg.R - min(h_i, h_j) + 1 - lo)] = False
-    n_checked = violations = 0
-    max_diff = 0.0
-    for n in (lo + np.flatnonzero(cand)).tolist():
-        n_checked += 1
-        w = weight(cfg, n, table=table)
-        w_alt = weight(cfg, n, table=table, coord_factor=hybrid)
-        diff = abs(w - w_alt)
-        if diff > 0.0:
-            violations += 1
-            max_diff = max(max_diff, diff)
+    checked = np.flatnonzero(cand)
+    if len(checked) and lo + checked[0] + cfg.offsets.offsets[0] < 1:
+        raise ParameterConditionError(f"n + h must be >= 1; n = {lo + checked[0]}")
+    diff = np.abs(_place(cfg, swapped, lo, 1, n_scanned)[checked])
     return TaoCheckReport(
         n_lo=lo, n_hi=hi, index_pair=(i, j), n_scanned=n_scanned,
-        n_checked=n_checked, violations=violations, max_abs_diff=max_diff,
+        n_checked=len(checked), violations=int(np.count_nonzero(diff)),
+        max_abs_diff=float(diff.max(initial=0.0)),
     )
 
 

@@ -336,6 +336,21 @@ class TestOutputShapes:
         assert doc["result"]["length"] >= 3
         assert "proxy" in doc["result"]["label"]
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--modulus", "6", "--residue", "5", "--tuple", "0,2,6"],
+         "--tuple, --modulus, --residue"),
+        (["--theta", "0.5"], "--theta"),
+        (["--lo", "3", "--hi", "200", "--m", "2"], "--m, --lo, --hi"),
+        (["--n-cells", "3", "--min-singletons", "2"], "--n-cells, --min-singletons"),
+    ])
+    def test_gaps_beta_mode_refuses_scan_flags(self, flags, named):
+        argv = ["gaps", "--beta", "0.5,1.0", "--gap-limit", "1e4"]
+        code, out, err = run_cli(argv + flags)
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith(f"scan flags {named}")
+        # a scan flag left at its default changes nothing
+        assert run_cli(argv + ["--theta", "1.0", "--residue", "0"])[1] == run_cli(argv)[1]
+
     def test_output_file_instead_of_stdout(self, tmp_path):
         target = tmp_path / "stats.csv"
         code, out, _ = run_cli(
@@ -409,6 +424,20 @@ class TestDeterminism:
         assert code == 0, err
         assert json.loads(first)["result"]["mc_estimates"]
         assert run_cli(argv)[1] == first
+
+    def test_sieve_defaults_to_one_thread(self, monkeypatch):
+        pools = []
+        real_pool = sieve.ThreadPoolExecutor
+
+        def spy(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(sieve, "ThreadPoolExecutor", spy)
+        code, out, err = run_cli(SIEVE_ARGS[:-2])  # drop the --threads pair
+        assert code == 0, err
+        assert pools == [1]
+        assert out == run_cli(SIEVE_ARGS)[1]
 
     def test_thread_count_does_not_change_bytes(self):
         base = SIEVE_ARGS[:-2]  # drop the --threads pair

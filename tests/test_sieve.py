@@ -181,7 +181,7 @@ class TestSupportAndCoeffs:
         enum = dict(sieve.lambda_tuples(cfg))
         assert len(enum) > 20
         for tup, lam in list(enum.items())[::5]:
-            assert sieve.lambda_coeff(cfg, tup) == pytest.approx(lam, rel=1e-14)
+            assert sieve.lambda_coeff(cfg, tup) == lam
 
     def test_visit_count_is_exact(self):
         cfg = rich_config()
@@ -312,6 +312,24 @@ class TestWeightPaths:
         assert sieve.weight(cfg, n) == pytest.approx(
             sieve.naive_weight(cfg, n), abs=1e-12
         )
+
+
+def naive_hybrid_weight(cfg, n, alt, i, j):
+    """naive_weight with alt's coordinate factor at i and j where d > 1."""
+    sup = cfg.support
+    log_r = math.log(cfg.R)
+    per_coord = [[d for d in sup.divisors if (n + h) % d == 0] for h in cfg.offsets]
+    total = 0.0
+    for tup in itertools.product(*per_coord):
+        ts = [math.log(d) / log_r for d in tup]
+        if math.prod(tup) > cfg.R or sum(ts) > cfg.params.sum_cap:
+            continue
+        sign = math.prod(int(sup.mu[d]) for d in tup)
+        total += sign * math.prod(
+            sieve.coordinate_factor(alt if c in (i, j) and d > 1 else cfg.params, t)
+            for c, (d, t) in enumerate(zip(tup, ts))
+        )
+    return total
 
 
 def whole_array_weights(cfg, lo, hi, restrict=True):
@@ -514,28 +532,67 @@ class TestTaoDomination:
         assert rep.passed
 
     def test_modified_origin_breaks_equality(self):
-        # control: hack the hybrid to also replace the factor at t = 0 and
-        # the two weights must drift apart on the very same entries
+        # control: a lambda_alt that also replaces the factor at t = 0 must
+        # move the weight on the very same entries
         cfg = rich_config()
         alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
-
-        def bad_hybrid(ci, t):
-            if ci in (0, 2):
-                return sieve.coordinate_factor(alt, t)
-            return sieve.coordinate_factor(cfg.params, t)
-
-        table = sieve_range(1, 60000, want_spf=True)
+        log_r = math.log(cfg.R)
+        bad = []
+        for dt, lam in sieve.lambda_tuples(cfg):
+            sign = math.prod(int(cfg.support.mu[d]) for d in dt)
+            val = math.prod(
+                sieve.coordinate_factor(alt if c in (0, 2) else cfg.params,
+                                        math.log(d) / log_r)
+                for c, d in enumerate(dt)
+            )
+            bad.append((dt, lam - sign * val))
+        start = 1 + (cfg.b0 - 1) % cfg.W
+        count = (50000 - start) // cfg.W + 1
+        placed = sieve._place(cfg, bad, start, cfg.W, count)
+        table = sieve_range(1, 60000)
         diffs = []
-        n = 1 + (cfg.b0 - 1) % cfg.W
-        while n <= 50000:
+        for jdx in range(count):
+            n = start + jdx * cfg.W
             a, b = n + cfg.offsets.offsets[0], n + cfg.offsets.offsets[2]
             if (a > cfg.R and b > cfg.R
                     and table.is_prime_at(a) and table.is_prime_at(b)):
-                w = sieve.weight(cfg, n, table=table)
-                wb = sieve.weight(cfg, n, table=table, coord_factor=bad_hybrid)
-                diffs.append(abs(w - wb))
-            n += cfg.W
+                diffs.append(abs(placed[jdx]))
         assert diffs and max(diffs) > 1e-6
+
+    @pytest.mark.parametrize("offsets, i, j", [((0, 2, 6), 0, 2), ((-2, 0, 4), 1, 2)])
+    def test_grid_difference_matches_naive_oracles(self, monkeypatch, offsets, i, j):
+        # alt's coordinate cap lies below cfg's, so the hybrid's support lies
+        # inside cfg's and both oracles sum over the same divisor tuples
+        cfg = rich_config(offsets=offsets)
+        alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
+        assert alt.coord_cap < cfg.params.coord_cap
+        placed = []
+        real_place = sieve._place
+
+        def spy(*args):
+            placed.append(real_place(*args))
+            return placed[-1]
+
+        monkeypatch.setattr(sieve, "_place", spy)
+        lo, hi = 3, 1500
+        rep = sieve.tao_domination_check(cfg, alt, i, j, lo, hi)
+        (diff,) = placed
+        assert len(diff) == hi - lo + 1
+        for n in range(lo, hi + 1):
+            expect = sieve.naive_weight(cfg, n) - naive_hybrid_weight(cfg, n, alt, i, j)
+            assert diff[n - lo] == pytest.approx(expect, abs=1e-12)
+        # the difference lives off the checked set: the check is not vacuous
+        assert np.count_nonzero(diff) > 100 and rep.n_checked > 20 and rep.passed
+
+    def test_refuses_an_entry_below_one(self):
+        # n = 5 is the first n with n, n + 2 prime above R = 3, and n - 10 < 1
+        cfg = sieve.make_config(81, delta=0.25, offsets=(-10, 0, 2), strict=False)
+        alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
+        assert cfg.R == 3
+        with pytest.raises(ParameterConditionError, match=r"n \+ h must be >= 1; n = 5$"):
+            sieve.tao_domination_check(cfg, alt, 1, 2, 1, 100)
+        rep = sieve.tao_domination_check(cfg, alt, 1, 2, 11, 100)
+        assert rep.n_checked > 0 and rep.passed
 
     def test_checked_set_requires_both_primes_above_r(self):
         cfg = rich_config()
