@@ -1,13 +1,15 @@
 """Prime tables and prime-derived sequences.
 
-Segmented Eratosthenes sieving with an optional smallest-prime-factor table,
-sums-of-two-primes scans, prime-pair difference counts, and normalized prime
-gaps.  Every other module consumes these tables; nothing here knows about
-sieve weights or tuples.
+Segmented Eratosthenes sieving of the odd cells from a 3*5*7*11*13 wheel,
+with an optional smallest-prime-factor table, sums-of-two-primes scans,
+prime-pair difference counts, and normalized prime gaps.  Every other
+module consumes these tables; nothing here knows about sieve weights or
+tuples.
 
-Both correlation kernels are exact: sums of two primes by a smallest-prime
-search, pair counts by a blocked FFT autocorrelation whose rounding is
-checked (InvariantViolationError) rather than argued.
+Both correlation kernels are exact and read the odd-prime mask, as 2 is
+the one even prime: sums of two primes by a smallest-prime search, pair
+counts by a blocked FFT autocorrelation whose rounding is checked
+(InvariantViolationError) rather than argued, plus the pairs through 2.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from .reportio import csv_lines
 
 # Hard ceiling on table cells; sieving beyond this raises ResourceBudgetError.
 DEFAULT_SIEVE_BUDGET = 200_000_000
-# Marking is done in fixed-size segments so the hot loop stays cache-sized.
+# Blocks of this many cells (odd cells in sieve_range) keep hot loops cache-sized.
 SEGMENT = 1 << 20
 # Ceiling on max_diff: gap_counts returns one map entry per difference.
 MAX_GAP_DIFF = 2_000_000
 # Width a primorial modulus may reach before primorial refuses it.
 PRIMORIAL_BITS = 64
+# Which of the odd values 1, 3, ..., 30029 are coprime to 3*5*7*11*13.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.gcd(np.arange(1, 30030, 2), math.prod(_WHEEL_PRIMES)) == 1
 
 
 def _small_primes(limit: int) -> np.ndarray:
@@ -131,16 +136,23 @@ class PrimeTable:
 def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     """Sieve the half-open range [lo, hi).
 
+    Odd cells are sieved in a scratch array, half the window: it starts
+    from the wheel (15015 odd cells a period), each base prime p > 13
+    crosses off its odd multiples from p*p, SEGMENT odd cells at a time,
+    and one strided assignment writes it into is_prime.  The scratch is
+    freed before the primes are listed off is_prime, 2 first.
+
     The allocated cells (the window length and the sqrt(hi) base-prime
     sieve both count) may not exceed DEFAULT_SIEVE_BUDGET; more raises
-    ResourceBudgetError.
+    ResourceBudgetError.  The odd scratch array leaves that count unchanged.
 
     Parameters
     ----------
     lo, hi : int
         Range bounds, 0 <= lo < hi.
     want_spf : bool
-        Also build the smallest-prime-factor array (doubles memory).
+        Also build the smallest-prime-factor array: int64, 8 bytes per
+        cell next to is_prime's 1, so the table takes 9 times the memory.
 
     Returns
     -------
@@ -155,18 +167,32 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
             f"DEFAULT_SIEVE_BUDGET = {DEFAULT_SIEVE_BUDGET}; lower --limit or --N"
         )
     n = hi - lo
-    is_p = np.ones(n, dtype=bool)
-    for v in (0, 1):
-        if lo <= v < hi:
-            is_p[v - lo] = False
+    # odd[j]: o0 + 2j is prime; the wheel strikes the multiples of 3..13
+    o0, h = lo | 1, hi // 2 - lo // 2
+    is_p = np.zeros(n, dtype=bool)  # before the scratch, which keeps peak RSS down
+    k = (lo // 2) % _WHEEL.size
+    if k + h <= _WHEEL.size:
+        odd = _WHEEL[k : k + h].copy()
+    else:
+        odd = np.resize(np.roll(_WHEEL, -k), h)
+    for q in (1, *_WHEEL_PRIMES):  # 1 is not prime; 3, 5, 7, 11 and 13 are
+        if lo <= q < hi:
+            odd[(q - o0) // 2] = q > 1
     base = _small_primes(math.isqrt(hi - 1))
-    for seg_lo in range(lo, hi, SEGMENT):
-        seg_hi = min(seg_lo + SEGMENT, hi)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start < seg_hi:
-                is_p[start - lo : seg_hi - lo : p] = False
+    sieving = base[base > _WHEEL_PRIMES[-1]].tolist()
+    for j0 in range(0, h, SEGMENT):
+        j1, v0 = min(j0 + SEGMENT, h), o0 + 2 * j0
+        for p in sieving:
+            # the first odd multiple of p that is >= max(p * p, v0)
+            i = (p * max(p, -(-v0 // p) | 1) - o0) // 2
+            if i < j1:
+                odd[i:j1:p] = False
+    is_p[o0 - lo :: 2] = odd
+    at, count = int(lo <= 2 < hi), np.count_nonzero(odd)
+    if at:
+        is_p[2 - lo] = True
+    # free the scratch: the prime list is read off is_prime a segment at a time
+    odd = is_p[o0 - lo :: 2]
 
     spf = None
     if want_spf:
@@ -186,8 +212,14 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
         if lo <= 1 < hi:
             spf[1 - lo] = 1
 
-    primes = np.flatnonzero(is_p).astype(np.int64, copy=False)
-    primes += lo
+    primes = np.empty(at + count, dtype=np.int64)
+    primes[:at] = 2
+    for j0 in range(0, h, SEGMENT):
+        idx = np.nonzero(odd[j0 : j0 + SEGMENT])[0]
+        idx *= 2
+        idx += o0 + 2 * j0
+        primes[at : at + idx.size] = idx
+        at += idx.size
     return PrimeTable(lo=lo, hi=hi, is_prime=is_p, primes=primes, spf=spf)
 
 
@@ -277,12 +309,15 @@ def gap_counts(
     entry for every m in 1..max_diff (zero when no pair exists), so
     max_diff over MAX_GAP_DIFF raises ResourceBudgetError.
 
-    All pairs correlate blocks of the prime indicator with the block
-    extended by max_diff cells, by real FFT of one power-of-two length n,
-    the first at or above SEGMENT (or the table, if shorter) + max_diff.
-    Each block holds n - max_diff cells, so a transform holds no padding
-    beyond the shifts.  Extra memory is O(SEGMENT + max_diff).  A value
-    0.25 or more from its rounded count raises InvariantViolationError.
+    A pair at odd m is (2, m + 2), read off is_prime.  A pair at even m = 2s
+    is lag s of the odd mask odd[i] = is_prime(2i + 1): blocks of it
+    correlate with the block extended by reach = max_diff // 2 cells, by
+    real FFT of one power-of-two length n, the first at or above SEGMENT (or
+    the mask, if shorter) + reach.  Each block holds n - reach cells, so a
+    transform holds no padding beyond the shifts; the last block is its own
+    extension, one forward transform.  Extra memory is O(SEGMENT +
+    max_diff).  A value 0.25 or more from its rounded count raises
+    InvariantViolationError.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
@@ -298,17 +333,18 @@ def gap_counts(
         vals, cnts = np.unique(np.diff(table.primes), return_counts=True)
         got = {int(v): int(c) for v, c in zip(vals, cnts)}
         return {m: got.get(m, 0) for m in range(1, max_diff + 1)}
-    mask = table.is_prime
-    # no two cells of the table are more than limit apart
-    reach = min(max_diff, limit)
+    odd = table.is_prime[1::2]  # odd[i]: 2i + 1 is prime
+    # no two odd cells of the table are more than odd.size - 1 lags apart
+    reach = min(max_diff // 2, odd.size - 1)
     total = np.zeros(reach + 1, dtype=np.int64)
     # the transform must hold a block plus every shift of it without
-    # wrapping, also where the extended slice is cut at the table's end
-    n = 1 << (min(mask.size, SEGMENT) + reach - 1).bit_length()
-    for lo in range(0, mask.size, n - reach):
-        block = mask[lo : lo + n - reach]
-        spec = np.fft.rfft(mask[lo : lo + block.size + reach], n)
-        spec *= np.conj(np.fft.rfft(block, n))
+    # wrapping, also where the extended slice is cut at the mask's end
+    n = 1 << (min(odd.size, SEGMENT) + reach - 1).bit_length()
+    for lo in range(0, odd.size, n - reach):
+        block = odd[lo : lo + n - reach]
+        ext = odd[lo : lo + block.size + reach]  # the same cells for the last block
+        spec = np.fft.rfft(block, n)
+        spec = (np.fft.rfft(ext, n) if ext.size > block.size else spec) * np.conj(spec)
         corr = np.fft.irfft(spec, n)[: reach + 1]
         counts = np.rint(corr)
         worst = float(np.max(np.abs(corr - counts)))
@@ -317,7 +353,11 @@ def gap_counts(
                 f"FFT pair count lies {worst:.3g} from the nearest integer"
             )
         total += counts.astype(np.int64)
-    return {m: int(total[m]) if m <= reach else 0 for m in range(1, max_diff + 1)}
+    by_m = np.zeros(max_diff + 1, dtype=np.int64)
+    by_m[: 2 * reach + 1 : 2] = total  # m = 2s: lag s of the odd mask
+    through_2 = table.is_prime[3 : max_diff + 3 : 2]  # odd m: only (2, m + 2)
+    by_m[1 : 2 * through_2.size : 2] = through_2
+    return dict(zip(range(1, max_diff + 1), by_m[1:].tolist()))
 
 
 @dataclass

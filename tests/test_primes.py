@@ -95,6 +95,37 @@ def test_sieve_offset_window_against_oracle():
     assert np.array_equal(table.is_prime, trial_division_mask(lo, hi))
 
 
+def assert_sieve_matches_trial_division(lo, hi):
+    table = sieve_range(lo, hi)
+    oracle = trial_division_mask(lo, hi)
+    assert np.array_equal(table.is_prime, oracle)
+    assert table.primes.dtype == np.int64
+    assert np.array_equal(table.primes, lo + np.flatnonzero(oracle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.integers(0, 70_000),
+    width=st.integers(1, 70_000),
+    segment=st.integers(1, 64),
+)
+@example(lo=30_000, width=70_000, segment=64)  # two wheel periods of 30030
+@example(lo=60_059, width=3, segment=1)  # across 60060 = 2 * 30030
+def test_odd_sieve_matches_trial_division(lo, width, segment):
+    # windows cross multiples of 30030 (one wheel period of 15015 odd cells)
+    # and many edges of SEGMENT odd cells
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", segment)
+        assert_sieve_matches_trial_division(lo, lo + width)
+
+
+def test_sieve_every_window_below_40():
+    # 1 and the wheel primes 3..13 sit in these windows
+    for hi in range(1, 41):
+        for lo in range(hi):
+            assert_sieve_matches_trial_division(lo, hi)
+
+
 def test_two_is_the_only_even_prime():
     table = sieve_range(0, 100_000)
     evens = table.primes[table.primes % 2 == 0]
@@ -316,8 +347,9 @@ def test_gap_counts_across_many_block_edges(limit, max_diff):
 
 
 def test_gap_count_transforms_hold_no_padding(monkeypatch):
-    # blocks of n - reach = 412 cells; each extended slice fills its
-    # transform of n = 512 unless the table ends first
+    # the odd mask of 2500 cells, reach 50 lags: blocks of n - reach = 462
+    # cells; each extended slice fills its transform of n = 512 unless the
+    # mask ends first, and the last block, its own extension, makes one
     monkeypatch.setattr(primes, "SEGMENT", 256)
     calls = []
     rfft = np.fft.rfft
@@ -325,8 +357,29 @@ def test_gap_count_transforms_hold_no_padding(monkeypatch):
         np.fft, "rfft", lambda a, n: calls.append((a.size, n)) or rfft(a, n)
     )
     assert gap_counts(5000, 100) == shift_and_gap_counts(5000, 100)
-    starts = range(0, 5001, 412)
-    assert calls[::2] == [(min(512, 5001 - lo), 512) for lo in starts]
+    want = []
+    for lo in range(0, 2500, 462):
+        if lo + 462 < 2500:
+            want += [(462, 512), (min(512, 2500 - lo), 512)]
+        else:
+            want.append((2500 - lo, 512))
+    assert calls == want
+    assert want[-2:] == [(512, 512), (190, 512)]
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 97, 10**5])
+def test_gap_counts_sum_to_all_pairs(limit):
+    # with max_diff >= limit every unordered pair of primes <= limit is
+    # counted once, at its difference
+    pi = sieve_range(0, limit + 1).count()
+    assert sum(gap_counts(limit, limit).values()) == math.comb(pi, 2)
+    assert sum(gap_counts(limit, limit + 3).values()) == math.comb(pi, 2)
+
+
+def test_gap_counts_odd_difference_is_the_pair_through_2():
+    assert gap_counts(5, 3)[3] == 1  # (2, 5)
+    assert gap_counts(4, 3)[3] == 0  # 5 is past the limit
+    assert gap_counts(5, 3) == {1: 1, 2: 1, 3: 1}
 
 
 def test_gap_counts_max_diff_cap():
