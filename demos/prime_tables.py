@@ -31,8 +31,8 @@ print("\nsums-of-two-primes count below 10^4:", len(rep.values))
 print("max gap", rep.max_gap, "first attained between", rep.max_at)
 
 # Prime pair differences: 6 beats 2 and 4 once all pairs are counted.
-counts = primes.gap_counts(10**5, 8)
-print("\npair counts below 10^5 by difference:", counts)
+counts = primes.gap_counts(10**5, 8)  # counts[m], m = 0..8
+print("\npair counts below 10^5 at differences 1..8:", counts[1:].tolist())
 
 # Normalized gaps (gap / log p) hover around 1 on average.
 seq = primes.normalized_gaps(10**6)

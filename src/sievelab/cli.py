@@ -89,11 +89,24 @@ def json_document(config: dict, payload: dict) -> str:
     )
 
 
+def refuse_ignored(args, dests, why: str) -> None:
+    """Refuse each of the dests that args sets off the default a freshly
+    built parser declares, so a config-file key cannot hide one either:
+    ParameterConditionError (exit 4) names the flags after `why`."""
+    fresh = build_parser()[1][args.command]
+    stray = [d for d in dests if getattr(args, d) != fresh.get_default(d)]
+    if stray:
+        flags = ", ".join("--" + d.replace("_", "-") for d in stray)
+        raise ParameterConditionError(f"{why} {flags}")
+
+
 # ---------------------------------------------------------------------------
 # primes
 
 
 def cmd_primes(args) -> int:
+    if args.mode != "gap-counts":
+        refuse_ignored(args, ["max_diff"], f"--{args.mode} ignores the flag")
     config = {"limit": args.limit, "mode": args.mode}
     if args.mode == "stats":
         table = primes.sieve_range(0, args.limit + 1)
@@ -108,8 +121,7 @@ def cmd_primes(args) -> int:
     elif args.mode == "gap-counts":
         config["max_diff"] = args.max_diff
         counts = primes.gap_counts(args.limit, args.max_diff)
-        diffs, n_pairs = np.array(sorted(counts.items()), dtype=np.int64).T
-        body = csv_lines(["diff", "count"], [diffs, n_pairs])
+        body = csv_lines(["diff", "count"], [np.arange(1, counts.size), counts[1:]])
     else:  # normalized-gaps
         seq = primes.normalized_gaps(args.limit)
         body = csv_lines(["p", "gap", "normalized"], [seq.p, seq.gap, seq.normalized])
@@ -237,10 +249,10 @@ def cmd_density(args) -> int:
     payload = rep.as_dict()
     payload.pop("counts")  # bulky; the per-difference columns live in CSV mode
     if args.format == "csv":
-        diffs, counts = np.array(sorted(rep.counts.items()), dtype=np.int64).T
+        evens = rep.counts[2::2]
         body = csv_lines(
             ["diff", "count", "is_exception"],
-            [diffs, counts, np.isin(diffs, rep.exceptions)],
+            [np.arange(2, rep.counts.size, 2), evens, evens < rep.threshold],
         )
         emit(args, "\n".join(config_header_lines(config)) + "\n" + body)
         return 0
@@ -254,12 +266,8 @@ def cmd_density(args) -> int:
 
 def cmd_gaps(args) -> int:
     if args.beta is not None:
-        gaps = build_parser()[1]["gaps"]  # its defaults, before any config file
         scan = "tuple theta m n_cells lo hi min_singletons modulus residue".split()
-        stray = [d for d in scan if getattr(args, d) != gaps.get_default(d)]
-        if stray:
-            flags = ", ".join("--" + d.replace("_", "-") for d in stray)
-            raise ParameterConditionError(f"--beta mode ignores the scan flags {flags}")
+        refuse_ignored(args, scan, "--beta mode ignores the scan flags")
         gap_seq = primes.normalized_gaps(args.gap_limit)
         gap_vals = sorted(set(np.round(gap_seq.normalized, 6).tolist()))
         res = cells.beta_subsequence_check(

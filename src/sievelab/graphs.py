@@ -229,13 +229,14 @@ class PolignacDensityReport:
     An even m counts as realized when at least `threshold` prime pairs below
     `limit` differ by m.  This is a finite-scale stand-in for an infinitude
     property: realized-at-threshold is necessary, never sufficient, and all
-    outputs carry the proxy label.
+    outputs carry the proxy label.  counts is the gap_counts array: int64,
+    counts[m] for m = 0..max_diff, odd m included.
     """
 
     limit: int
     threshold: int
     max_diff: int
-    counts: dict[int, int]
+    counts: np.ndarray
     exceptions: tuple[int, ...]
     grid: tuple[int, ...]
     exception_cumulative: tuple[int, ...]
@@ -269,13 +270,12 @@ def empirical_polignac_density(
     if threshold < 1:
         raise ParameterConditionError(f"threshold must be >= 1, got {threshold}")
     counts = gap_counts(limit, max_diff)
-    evens = list(range(2, max_diff + 1, 2))
-    exceptions = tuple(m for m in evens if counts[m] < threshold)
+    # the evens under threshold, ascending as searchsorted needs
+    exceptions = 2 * np.flatnonzero(counts[2::2] < threshold) + 2
     # geometric grid of cutoffs, always ending at max_diff
     raw = np.geomspace(2, max_diff, DENSITY_GRID)
     grid = sorted({int(round(v / 2)) * 2 for v in raw} | {max_diff} - {0})
-    exc_arr = np.array(exceptions, dtype=np.int64)
-    cumulative = tuple(int((exc_arr <= M).sum()) for M in grid)
+    cumulative = np.searchsorted(exceptions, grid, side="right")
     curves = {
         f"{kappa:.1f}": tuple(float(M) ** kappa for M in grid)
         for kappa in KAPPA_GRID
@@ -284,9 +284,9 @@ def empirical_polignac_density(
         limit=limit,
         threshold=threshold,
         max_diff=max_diff,
-        counts={m: counts[m] for m in evens},
-        exceptions=exceptions,
+        counts=counts,
+        exceptions=tuple(exceptions.tolist()),
         grid=tuple(grid),
-        exception_cumulative=cumulative,
+        exception_cumulative=tuple(cumulative.tolist()),
         kappa_curves=curves,
     )

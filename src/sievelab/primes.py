@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, ResourceBudgetError
-from .reportio import csv_lines
 
 # Hard ceiling on table cells; sieving beyond this raises ResourceBudgetError.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 # Blocks of this many cells (odd cells in sieve_range) keep hot loops cache-sized.
 SEGMENT = 1 << 20
-# Ceiling on max_diff: gap_counts returns one map entry per difference.
+# Ceiling on max_diff: gap_counts returns one int64 count per difference.
 MAX_GAP_DIFF = 2_000_000
 # Width a primorial modulus may reach before primorial refuses it.
 PRIMORIAL_BITS = 64
@@ -275,10 +274,6 @@ class GoldbachGapReport:
     max_gap: int
     max_at: tuple[int, int] | None  # (value, next value) attaining max_gap
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(v), int(g)) for v, g in zip(self.values[:-1], self.gaps)]
-
 
 def goldbach_gaps(limit: int) -> GoldbachGapReport:
     """Gaps between consecutive sums-of-two-primes up to limit."""
@@ -296,18 +291,14 @@ def goldbach_gaps(limit: int) -> GoldbachGapReport:
     )
 
 
-def gap_counts(
-    limit: int,
-    max_diff: int,
-    consecutive_only: bool = False,
-) -> dict[int, int]:
+def gap_counts(limit: int, max_diff: int) -> np.ndarray:
     """Count prime pairs at each difference m = 1..max_diff below limit.
 
-    By default every pair (p, p') with p - p' = m and p <= limit is counted,
-    not only consecutive primes; pass consecutive_only=True to restrict to
-    gaps between neighbours in the prime sequence.  The returned map has an
-    entry for every m in 1..max_diff (zero when no pair exists), so
-    max_diff over MAX_GAP_DIFF raises ResourceBudgetError.
+    counts[m] is the number of pairs (p, p') with p - p' = m and p <= limit,
+    all pairs, not only consecutive primes (normalized_gaps has those).  The
+    result is int64 of length max_diff + 1, indexed by m: counts[0] = 0, and
+    an m with no pair reads 0.  It holds a count per difference, so max_diff
+    over MAX_GAP_DIFF raises ResourceBudgetError.
 
     A pair at odd m is (2, m + 2), read off is_prime.  A pair at even m = 2s
     is lag s of the odd mask odd[i] = is_prime(2i + 1): blocks of it
@@ -329,10 +320,6 @@ def gap_counts(
             f"cap MAX_GAP_DIFF = {MAX_GAP_DIFF}; lower --max-diff"
         )
     table = sieve_range(0, limit + 1)
-    if consecutive_only:
-        vals, cnts = np.unique(np.diff(table.primes), return_counts=True)
-        got = {int(v): int(c) for v, c in zip(vals, cnts)}
-        return {m: got.get(m, 0) for m in range(1, max_diff + 1)}
     odd = table.is_prime[1::2]  # odd[i]: 2i + 1 is prime
     # no two odd cells of the table are more than odd.size - 1 lags apart
     reach = min(max_diff // 2, odd.size - 1)
@@ -354,10 +341,10 @@ def gap_counts(
             )
         total += counts.astype(np.int64)
     by_m = np.zeros(max_diff + 1, dtype=np.int64)
-    by_m[: 2 * reach + 1 : 2] = total  # m = 2s: lag s of the odd mask
+    by_m[2 : 2 * reach + 1 : 2] = total[1:]  # m = 2s: lag s of the odd mask
     through_2 = table.is_prime[3 : max_diff + 3 : 2]  # odd m: only (2, m + 2)
     by_m[1 : 2 * through_2.size : 2] = through_2
-    return dict(zip(range(1, max_diff + 1), by_m[1:].tolist()))
+    return by_m
 
 
 @dataclass
@@ -371,17 +358,6 @@ class GapSequence:
 
     def __len__(self) -> int:
         return int(self.p.size)
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(a), int(b), float(c))
-            for a, b, c in zip(self.p, self.gap, self.normalized)
-        ]
-
-    def to_csv(self, fh) -> None:
-        """Write `p,gap,normalized` rows, reals at 12 significant digits."""
-        columns = [self.p, self.gap, self.normalized]
-        fh.write(csv_lines(["p", "gap", "normalized"], columns))
 
 
 def normalized_gaps(limit: int) -> GapSequence:

@@ -29,9 +29,9 @@ def report_dict(report) -> dict:
     """The dict view of a report dataclass: each field, then each name in
     the class's `derived` tuple (properties computed from the fields).
 
-    Tuples become lists, dict values and nested dataclasses get the same
-    view, and a value with a serialize() method (an OffsetTuple) is
-    written as that text.
+    Tuples and numpy arrays become lists, dict values and nested
+    dataclasses get the same view, and a value with a serialize() method
+    (an OffsetTuple) is written as that text.
     """
     names = [f.name for f in dataclasses.fields(report)]
     names += getattr(report, "derived", ())
@@ -45,6 +45,8 @@ def _view(value):
         return report_dict(value)
     if isinstance(value, tuple):
         return [_view(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, dict):
         return {k: _view(v) for k, v in value.items()}
     return value

@@ -157,6 +157,15 @@ class TestExitCodes:
         assert "max_diff 1000000000" in err
         assert "MAX_GAP_DIFF" in err and "--max-diff" in err
 
+    @pytest.mark.parametrize("mode", ["--stats", "--goldbach-gaps", "--normalized-gaps"])
+    def test_max_diff_refused_outside_gap_counts(self, mode):
+        argv = ["primes", "--limit", "30", mode]
+        code, out, err = run_cli(argv + ["--max-diff", "7"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith(f"{mode} ignores the flag --max-diff")
+        # --max-diff at its default changes nothing
+        assert run_cli(argv + ["--max-diff", "100"])[1] == run_cli(argv)[1]
+
     @pytest.mark.parametrize("offsets", ["0,4,6,10,16,22,24,30", "0,4,6,10,12,16"])
     def test_wide_tuple_configs_run(self, offsets):
         # an estimate of 314^3 divisor tuples used to refuse these with
@@ -207,8 +216,9 @@ class TestOutputShapes:
         assert code == 0
         counts = primes.gap_counts(2000, 12)
         rows = [l for l in out.splitlines() if l and not l.startswith(("#", "diff"))]
-        parsed = {int(a): int(b) for a, b in (r.split(",") for r in rows)}
-        assert parsed == counts
+        diffs, parsed = zip(*((int(a), int(b)) for a, b in (r.split(",") for r in rows)))
+        assert list(diffs) == list(range(1, 13))
+        assert list(parsed) == counts[1:].tolist()
 
     def test_primes_normalized_gaps_columns(self):
         code, out, _ = run_cli(["primes", "--limit", "100", "--normalized-gaps"])
@@ -374,6 +384,9 @@ PINNED_STDOUT = {
         "ea125a24f2fd403a86689478a4b0f477890e46f2d5602c96eafde0428cf262e5",
     "sieve --N 2e5 --delta 0.25 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9":
         "c52cb3fef18a64cb9cc0d36c1704c16fc5af3513c2564da04b68d4e30c2b03e2",
+    # the all-pair counts, odd differences included, written off the array
+    "primes --limit 2e4 --gap-counts --max-diff 200":
+        "5ab677f5310f327b982aff717d6ea4b1db0cf081fbd11c060936424fd6a56346",
     "sieve --N 2e5 --delta 0.3 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9 --unrestricted":
         "2814a67af8db88b14d7d90781063c020e46566af58a91a5771512e94e1023431",
     # windows of 10^6 points: the weight placement spans several cache blocks
@@ -539,6 +552,14 @@ class TestConfigFile:
              "--limit", "10", "--stats"]
         )
         assert code == 4 and "not found" in err
+
+    def test_max_diff_key_refused_outside_gap_counts(self, tmp_path):
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 30\nmax-diff = 7\n")
+        code, out, err = run_cli(["--config", ini, "primes", "--stats"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--stats ignores the flag --max-diff")
+        code, out, _ = run_cli(["--config", ini, "primes", "--gap-counts"])
+        assert code == 0 and "# max_diff=7" in out.splitlines()
 
     def test_unrelated_section_ignored(self, tmp_path):
         ini = self.write_ini(tmp_path, "[density]\nlimit = 999\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sievelab import graphs
 from sievelab.errors import ParameterConditionError, ResourceBudgetError
-from sievelab.primes import sieve_range
+from sievelab.primes import gap_counts, sieve_range
 from sievelab.tuples import is_admissible, surfing, surfing_start_size
 
 
@@ -309,6 +309,11 @@ class TestPolignacCensus:
             assert census_small.counts[m] == int(
                 np.count_nonzero(mask[m:] & mask[:-m])
             )
+
+    def test_counts_are_the_gap_counts_array(self, census_small):
+        want = gap_counts(20000, 600)
+        assert census_small.counts.dtype == np.int64
+        assert np.array_equal(census_small.counts, want)
 
     def test_every_small_even_realized(self, census_small):
         assert census_small.exceptions == ()

@@ -1,5 +1,6 @@
 """Prime-table tests: trial-division oracles, brute-force cross-checks."""
 
+import contextlib
 import io
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import fftconvolve
 
-from sievelab import primes
+from sievelab import cli, primes
 from sievelab.errors import InvariantViolationError, ResourceBudgetError
 from sievelab.primes import (
     MAX_GAP_DIFF,
@@ -66,12 +67,13 @@ def fft_goldbach_numbers(limit):
 
 
 def shift_and_gap_counts(limit, max_diff):
-    """Oracle: all-pair counts by one shifted AND of the prime mask per m."""
+    """Oracle: all-pair counts by one shifted AND of the prime mask per m,
+    int64 indexed by m = 0..max_diff (no pair at m = 0 or past the table)."""
     mask = sieve_range(0, limit + 1).is_prime
-    return {
-        m: int(np.count_nonzero(mask[m:] & mask[:-m])) if m < mask.size else 0
-        for m in range(1, max_diff + 1)
-    }
+    out = np.zeros(max_diff + 1, dtype=np.int64)
+    for m in range(1, min(max_diff, mask.size - 1) + 1):
+        out[m] = np.count_nonzero(mask[m:] & mask[:-m])
+    return out
 
 
 def test_sieve_matches_trial_division_to_1e6():
@@ -301,7 +303,10 @@ def test_goldbach_gaps_examples():
     rep = goldbach_gaps(12)
     assert rep.max_gap == 2
     assert rep.max_at == (10, 12)
-    assert goldbach_gaps(4).pairs == []
+    assert rep.values[:-1].tolist() == [4, 5, 6, 7, 8, 9, 10]
+    assert rep.gaps.tolist() == [1, 1, 1, 1, 1, 1, 2]
+    single = goldbach_gaps(4)
+    assert single.values.tolist() == [4] and single.gaps.size == 0
     # every even in [4, 100] is a sum of two primes, so no gap exceeds 2
     assert goldbach_gaps(100).max_gap <= 2
 
@@ -313,18 +318,27 @@ def test_gap_counts_examples_and_brute_force():
     assert counts[1] == 1  # only (3, 2)
     limit = 500
     primes = _trial_primes(limit)
-    brute = {m: 0 for m in range(1, 21)}
+    brute = np.zeros(21, dtype=np.int64)
     for p in primes:
         for q in primes:
             if 1 <= p - q <= 20:
                 brute[p - q] += 1
-    assert gap_counts(limit, max_diff=20) == brute
+    assert np.array_equal(gap_counts(limit, max_diff=20), brute)
+
+
+@pytest.mark.parametrize("limit, max_diff", [(2, 1), (20, 6), (500, 21), (20, 10**4)])
+def test_gap_counts_is_an_int64_array_indexed_by_difference(limit, max_diff):
+    counts = gap_counts(limit, max_diff)
+    assert isinstance(counts, np.ndarray) and counts.dtype == np.int64
+    assert counts.shape == (max_diff + 1,)
+    assert counts[0] == 0
 
 
 @given(st.integers(min_value=4, max_value=600), st.integers(min_value=1, max_value=700))
 @settings(max_examples=80, deadline=None)
 def test_gap_counts_match_shift_oracle(limit, max_diff):
-    assert gap_counts(limit, max_diff) == shift_and_gap_counts(limit, max_diff)
+    want = shift_and_gap_counts(limit, max_diff)
+    assert np.array_equal(gap_counts(limit, max_diff), want)
 
 
 @pytest.mark.parametrize(
@@ -334,7 +348,8 @@ def test_gap_counts_match_shift_oracle(limit, max_diff):
 def test_gap_counts_match_shift_oracle_at_edges(limit, max_diff):
     # max_diff far past the table; a table just past SEGMENT; and pairs that
     # cross the first block edge, at 2 * SEGMENT - 60
-    assert gap_counts(limit, max_diff) == shift_and_gap_counts(limit, max_diff)
+    want = shift_and_gap_counts(limit, max_diff)
+    assert np.array_equal(gap_counts(limit, max_diff), want)
 
 
 @given(st.integers(min_value=4, max_value=600), st.integers(min_value=1, max_value=200))
@@ -343,7 +358,7 @@ def test_gap_counts_across_many_block_edges(limit, max_diff):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT", 16)
         got = gap_counts(limit, max_diff)
-    assert got == shift_and_gap_counts(limit, max_diff)
+    assert np.array_equal(got, shift_and_gap_counts(limit, max_diff))
 
 
 def test_gap_count_transforms_hold_no_padding(monkeypatch):
@@ -356,7 +371,7 @@ def test_gap_count_transforms_hold_no_padding(monkeypatch):
     monkeypatch.setattr(
         np.fft, "rfft", lambda a, n: calls.append((a.size, n)) or rfft(a, n)
     )
-    assert gap_counts(5000, 100) == shift_and_gap_counts(5000, 100)
+    assert np.array_equal(gap_counts(5000, 100), shift_and_gap_counts(5000, 100))
     want = []
     for lo in range(0, 2500, 462):
         if lo + 462 < 2500:
@@ -372,14 +387,14 @@ def test_gap_counts_sum_to_all_pairs(limit):
     # with max_diff >= limit every unordered pair of primes <= limit is
     # counted once, at its difference
     pi = sieve_range(0, limit + 1).count()
-    assert sum(gap_counts(limit, limit).values()) == math.comb(pi, 2)
-    assert sum(gap_counts(limit, limit + 3).values()) == math.comb(pi, 2)
+    assert gap_counts(limit, limit).sum() == math.comb(pi, 2)
+    assert gap_counts(limit, limit + 3).sum() == math.comb(pi, 2)
 
 
 def test_gap_counts_odd_difference_is_the_pair_through_2():
     assert gap_counts(5, 3)[3] == 1  # (2, 5)
     assert gap_counts(4, 3)[3] == 0  # 5 is past the limit
-    assert gap_counts(5, 3) == {1: 1, 2: 1, 3: 1}
+    assert gap_counts(5, 3).tolist() == [0, 1, 1, 1]
 
 
 def test_gap_counts_max_diff_cap():
@@ -388,8 +403,6 @@ def test_gap_counts_max_diff_cap():
     msg = str(info.value)
     assert f"max_diff {MAX_GAP_DIFF + 1}" in msg
     assert f"MAX_GAP_DIFF = {MAX_GAP_DIFF}" in msg and "--max-diff" in msg
-    with pytest.raises(ResourceBudgetError):
-        gap_counts(100, 10**9, consecutive_only=True)
 
 
 def test_gap_counts_raise_on_inexact_transform(monkeypatch):
@@ -399,37 +412,32 @@ def test_gap_counts_raise_on_inexact_transform(monkeypatch):
         gap_counts(100, 10)
 
 
-def test_gap_counts_consecutive_only():
-    counts = gap_counts(100, max_diff=10, consecutive_only=True)
-    primes = _trial_primes(100)
-    diffs = [b - a for a, b in zip(primes, primes[1:])]
-    for m in range(1, 11):
-        assert counts[m] == diffs.count(m)
-
-
 @given(st.integers(min_value=50, max_value=400))
 @settings(max_examples=20, deadline=None)
 def test_gap_counts_nondecreasing_in_limit(limit):
     small = gap_counts(limit, max_diff=10)
     large = gap_counts(limit + 50, max_diff=10)
-    assert all(large[m] >= small[m] for m in small)
+    assert np.all(large >= small)
 
 
 def test_normalized_gaps_entries():
     seq = normalized_gaps(7)
-    assert seq.entries() == [
-        (2, 1, pytest.approx(1 / math.log(2))),
-        (3, 2, pytest.approx(2 / math.log(3))),
-        (5, 2, pytest.approx(2 / math.log(5))),
-    ]
+    assert seq.p.tolist() == [2, 3, 5]
+    assert seq.gap.tolist() == [1, 2, 2]
+    assert seq.normalized.tolist() == pytest.approx(
+        [1 / math.log(2), 2 / math.log(3), 2 / math.log(5)]
+    )
     assert len(normalized_gaps(5)) == 2  # pairs (2,3) and (3,5)
+    # the gaps between neighbours in the prime sequence
+    assert np.array_equal(normalized_gaps(100).gap, np.diff(_trial_primes(100)))
 
 
 def test_normalized_gaps_csv_round_trip():
     seq = normalized_gaps(30)
     buf = io.StringIO()
-    seq.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["primes", "--limit", "30", "--normalized-gaps"]) == 0
+    lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
     assert lines[0] == "p,gap,normalized"
     assert len(lines) == len(seq) + 1
     p, gap, norm = lines[1].split(",")
