@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterConditionError, ResourceBudgetError
 from .primes import PrimeTable, sieve_range
-from .reportio import csv_lines, report_dict
+from .reportio import report_dict
 from .tuples import OffsetTuple, as_tuple
 
 SCAN_BUDGET = 200_000_000
@@ -154,10 +154,6 @@ class SingletonScan:
 
     def __len__(self) -> int:
         return len(self.ns)
-
-    def csv(self) -> str:
-        header = ["n"] + [f"cell_{j}" for j in range(self.counts.shape[1])]
-        return csv_lines(header, [self.ns, *self.counts.T])
 
 
 def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):

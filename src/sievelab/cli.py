@@ -22,7 +22,7 @@ from .errors import (
     ParameterConditionError,
     ResourceBudgetError,
 )
-from .reportio import csv_cell, csv_lines, stable_json
+from .reportio import csv_cell, csv_lines, stable_json, view_names
 from .tuples import as_tuple, is_admissible
 
 
@@ -76,16 +76,18 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def config_header_lines(config: dict) -> list[str]:
+def csv_document(config: dict, body: str) -> str:
+    """The tool version and the config as `# key=value` comment lines
+    (keys sorted), then the CSV body."""
     lines = [f"# tool_version={__version__}"]
-    for key in sorted(config):
-        lines.append(f"# {key}={csv_cell(config[key])}")
-    return lines
+    lines += [f"# {key}={csv_cell(config[key])}" for key in sorted(config)]
+    return "\n".join(lines) + "\n" + body
 
 
-def json_document(config: dict, payload: dict) -> str:
+def json_document(config: dict, result) -> str:
+    """result: a report, or a dict that may hold reports and arrays."""
     return stable_json(
-        {"tool_version": __version__, "config": config, "result": payload}
+        {"tool_version": __version__, "config": config, "result": result}
     )
 
 
@@ -104,7 +106,7 @@ def refuse_ignored(args, dests, why: str) -> None:
 # primes
 
 
-def cmd_primes(args) -> int:
+def cmd_primes(args) -> str:
     if args.mode != "gap-counts":
         refuse_ignored(args, ["max_diff"], f"--{args.mode} ignores the flag")
     config = {"limit": args.limit, "mode": args.mode}
@@ -125,19 +127,20 @@ def cmd_primes(args) -> int:
     else:  # normalized-gaps
         seq = primes.normalized_gaps(args.limit)
         body = csv_lines(["p", "gap", "normalized"], [seq.p, seq.gap, seq.normalized])
-    emit(args, "\n".join(config_header_lines(config)) + "\n" + body)
-    return 0
+    return csv_document(config, body)
 
 
 # ---------------------------------------------------------------------------
 # variational
 
 
-def cmd_variational(args) -> int:
+def cmd_variational(args) -> str:
     if args.psi is not None:
+        refuse_ignored(args, ["base", "slope", "cutoff"], "--psi ignores the flags")
         psi = None if args.psi == "loglog" else float(args.psi)
         params = variational.schedule_params(args.k, c=args.c, psi=psi)
     else:
+        refuse_ignored(args, ["c"], "variational without --psi ignores the flag")
         params = variational.KernelParams(
             k=args.k, base=args.base, slope=args.slope, cutoff=args.cutoff
         )
@@ -154,9 +157,8 @@ def cmd_variational(args) -> int:
     }
     payload = variational.report(params, n_samples=args.mc_samples, seed=args.seed)
     if args.fourier_check:
-        payload["fourier"] = variational.fourier_kernel_check(seed=args.seed).as_dict()
-    emit(args, json_document(config, payload))
-    return 0
+        payload["fourier"] = variational.fourier_kernel_check(seed=args.seed)
+    return json_document(config, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def _flat_sieve_config(cfg: sieve.SieveConfig) -> dict:
     return out
 
 
-def cmd_sieve(args) -> int:
+def cmd_sieve(args) -> str:
     cfg = _sieve_config(args)
     if args.range_half:
         lo, hi = cfg.N, 2 * cfg.N - 1
@@ -208,36 +210,33 @@ def cmd_sieve(args) -> int:
         payload = rep.as_dict()
         if args.satz:
             payload["satz"] = rep.satz(args.satz)
-        emit(args, json_document(config, payload))
-        return 0
-    header = sieve.MomentReport.csv_header(cfg.k)
-    row = rep.csv_row(cfg)
+        return json_document(config, payload)
+    row = dict(N=cfg.N, delta=cfg.delta, k=cfg.k, W=cfg.W, b0=cfg.b0, sum_w2=rep.sum_w2)
+    row.update((f"sum_prime_w2_{i}", s) for i, s in enumerate(rep.prime_sq_sums))
+    row.update((f"ratio_{i}", r) for i, r in enumerate(rep.ratios))
+    row["pair_max_ratio"] = rep.pair_max_ratio
     if args.satz:
-        header = header + [f"satz_{args.satz}"]
-        row = row + [rep.satz(args.satz)]
-    body = csv_lines(header, [[v] for v in row])
-    emit(args, "\n".join(config_header_lines(config)) + "\n" + body)
-    return 0
+        row[f"satz_{args.satz}"] = rep.satz(args.satz)
+    return csv_document(config, csv_lines(list(row), [[v] for v in row.values()]))
 
 
 # ---------------------------------------------------------------------------
 # goldbach scan
 
 
-def cmd_goldbach_scan(args) -> int:
+def cmd_goldbach_scan(args) -> str:
     cfg = _sieve_config(args)
     rep = sieve.goldbach_window_scan(cfg, N=args.target)
     config = _flat_sieve_config(cfg)
     config["target"] = rep.N
-    emit(args, json_document(config, rep.as_dict()))
-    return 0
+    return json_document(config, rep)
 
 
 # ---------------------------------------------------------------------------
 # density
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> str:
     rep = graphs.empirical_polignac_density(
         args.limit, threshold=args.threshold, max_diff=args.max_diff
     )
@@ -246,25 +245,23 @@ def cmd_density(args) -> int:
         "threshold": args.threshold,
         "max_diff": args.max_diff,
     }
-    payload = rep.as_dict()
-    payload.pop("counts")  # bulky; the per-difference columns live in CSV mode
     if args.format == "csv":
         evens = rep.counts[2::2]
         body = csv_lines(
             ["diff", "count", "is_exception"],
             [np.arange(2, rep.counts.size, 2), evens, evens < rep.threshold],
         )
-        emit(args, "\n".join(config_header_lines(config)) + "\n" + body)
-        return 0
-    emit(args, json_document(config, payload))
-    return 0
+        return csv_document(config, body)
+    # counts is bulky; the per-difference columns live in CSV mode
+    names = [name for name in view_names(rep) if name != "counts"]
+    return json_document(config, {name: getattr(rep, name) for name in names})
 
 
 # ---------------------------------------------------------------------------
 # gaps
 
 
-def cmd_gaps(args) -> int:
+def cmd_gaps(args) -> str:
     if args.beta is not None:
         scan = "tuple theta m n_cells lo hi min_singletons modulus residue".split()
         refuse_ignored(args, scan, "--beta mode ignores the scan flags")
@@ -283,13 +280,13 @@ def cmd_gaps(args) -> int:
         payload = {
             "found": res.found,
             "length": res.length,
-            "indices": list(res.indices),
-            "values": list(res.values),
+            "indices": res.indices,
+            "values": res.values,
             "label": "gap set is the empirical normalized-gap value set, a proxy",
         }
-        emit(args, json_document(config, payload))
-        return 0
+        return json_document(config, payload)
     # singleton-cell scan mode
+    refuse_ignored(args, ["gap_limit", "tol", "min_len"], "scan mode ignores the flags")
     if args.tuple is None:
         raise ParameterConditionError("scan mode needs --tuple (or pass --beta)")
     if args.n_cells is not None:
@@ -315,8 +312,8 @@ def cmd_gaps(args) -> int:
         "modulus": args.modulus,
         "residue": args.residue,
     }
-    emit(args, "\n".join(config_header_lines(config)) + "\n" + scan.csv())
-    return 0
+    header = ["n"] + [f"cell_{j}" for j in range(scan.counts.shape[1])]
+    return csv_document(config, csv_lines(header, [scan.ns, *scan.counts.T]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +324,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="sievelab",
         description="number-theory workbench: sieve weights, tuples, graphs, gaps",
+        allow_abbrev=False,  # --c, --conf are not --config
     )
     parser.add_argument("--config", help="INI file with one section per subcommand")
     parser.add_argument(
@@ -519,7 +517,7 @@ def main(argv=None) -> int:
     parser, submap = build_parser()
     try:
         # apply config-file defaults before the real parse so explicit flags win
-        pre = argparse.ArgumentParser(add_help=False)
+        pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         pre_args, _ = pre.parse_known_args(argv)
         if pre_args.config:
@@ -527,17 +525,15 @@ def main(argv=None) -> int:
             if command:
                 _apply_config_file(pre_args.config, command, submap[command])
         args = parser.parse_args(argv)
-        return args.func(args)
-    except ParameterConditionError as e:
-        print(f"parameter error: {e}", file=sys.stderr)
-        return 4
+        emit(args, args.func(args))
+        return 0
     except ResourceBudgetError as e:
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 3
     except InvariantViolationError as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 5
-    except (ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:  # ParameterConditionError too
         print(f"parameter error: {e}", file=sys.stderr)
         return 4
 

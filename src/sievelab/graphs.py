@@ -230,14 +230,15 @@ class PolignacDensityReport:
     `limit` differ by m.  This is a finite-scale stand-in for an infinitude
     property: realized-at-threshold is necessary, never sufficient, and all
     outputs carry the proxy label.  counts is the gap_counts array: int64,
-    counts[m] for m = 0..max_diff, odd m included.
+    counts[m] for m = 0..max_diff, odd m included.  exceptions is an int64
+    array too, the evens m with counts[m] < threshold in ascending order.
     """
 
     limit: int
     threshold: int
     max_diff: int
     counts: np.ndarray
-    exceptions: tuple[int, ...]
+    exceptions: np.ndarray
     grid: tuple[int, ...]
     exception_cumulative: tuple[int, ...]
     kappa_curves: dict[str, tuple[float, ...]]
@@ -285,7 +286,7 @@ def empirical_polignac_density(
         threshold=threshold,
         max_diff=max_diff,
         counts=counts,
-        exceptions=tuple(exceptions.tolist()),
+        exceptions=exceptions,
         grid=tuple(grid),
         exception_cumulative=tuple(cumulative.tolist()),
         kappa_curves=curves,

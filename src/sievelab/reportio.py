@@ -1,11 +1,11 @@
-"""Deterministic report formatting: the dict view of a report,
-12-significant-digit CSV and stable JSON.
+"""Deterministic report formatting: plain values, 12-significant-digit
+CSV and stable JSON.
 
-A report's dict view (report_dict, bound as each report class's as_dict)
-is its dataclass fields in order, then the derived values its class names
-in `derived`.  Reruns with identical inputs must produce byte-identical
-files, so floats are canonicalized through %.12g everywhere and JSON keys
-are always sorted.
+Reports hold numbers (ints, floats, numpy arrays, nested reports); one walk
+turns them into plain values, for the dict view (report_dict, bound as each
+report class's as_dict) and for stable_json.  Reruns with identical inputs
+must produce byte-identical files, so floats are canonicalized through
+%.12g everywhere and JSON keys are always sorted.
 """
 
 from __future__ import annotations
@@ -21,56 +21,59 @@ def fmt12(x) -> str:
     return "%.12g" % float(x)
 
 
-def round12(x: float) -> float:
-    return float(fmt12(x))
+def view_names(report) -> list:
+    """A report's view: its dataclass fields in order, then each name in
+    its class's `derived` tuple (properties computed from the fields)."""
+    return [f.name for f in dataclasses.fields(report)] + list(
+        getattr(report, "derived", ())
+    )
 
 
 def report_dict(report) -> dict:
-    """The dict view of a report dataclass: each field, then each name in
-    the class's `derived` tuple (properties computed from the fields).
+    """The dict view of a report dataclass, as plain values: bools, ints,
+    floats (unrounded), str, None, lists and dicts with str keys.
 
-    Tuples and numpy arrays become lists, dict values and nested
-    dataclasses get the same view, and a value with a serialize() method
-    (an OffsetTuple) is written as that text.
+    Numpy scalars become Python ones, tuples and arrays lists (an int or
+    bool array by one .tolist()), nested dataclasses get the same view,
+    and a value with a serialize() method (an OffsetTuple) is that text.
     """
-    names = [f.name for f in dataclasses.fields(report)]
-    names += getattr(report, "derived", ())
-    return {name: _view(getattr(report, name)) for name in names}
+    return _plain(report, float)
 
 
-def _view(value):
+def _plain(value, real):
+    """value as plain Python values, each float mapped by real."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return real(value)
+    if isinstance(value, np.ndarray):
+        plain = value.tolist()
+        return plain if value.dtype.kind in "iub" else _plain(plain, real)
     if hasattr(value, "serialize"):
         return value.serialize()
     if dataclasses.is_dataclass(value):
-        return report_dict(value)
-    if isinstance(value, tuple):
-        return [_view(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+        return {name: _plain(getattr(value, name), real) for name in view_names(value)}
     if isinstance(value, dict):
-        return {k: _view(v) for k, v in value.items()}
+        return {str(k): _plain(v, real) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, real) for v in value]
     return value
 
 
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        # json.dumps would emit bare Infinity/NaN tokens, which is not JSON
-        return round12(f) if math.isfinite(f) else str(f)
-    return obj
+def _json_float(x) -> float | str:
+    # json.dumps would emit bare Infinity/NaN tokens, which is not JSON
+    return float(fmt12(x)) if math.isfinite(x) else str(float(x))
 
 
 def stable_json(obj) -> str:
-    """Sorted-key JSON with floats rounded to 12 significant digits."""
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted-key JSON of obj (a report dataclass, or dicts and lists that
+    may hold reports and arrays) from the same walk as report_dict, with
+    each float rounded to 12 significant digits and a non-finite one
+    written as the string "nan", "inf" or "-inf"."""
+    plain = _plain(obj, _json_float)
+    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_cell(v) -> str:

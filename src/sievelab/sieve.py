@@ -423,21 +423,6 @@ class MomentReport:
     def satz(self, m: int) -> float:
         return math.fsum(self.prime_sq_sums) - (m - 1) * self.sum_w2
 
-    def csv_row(self, cfg: SieveConfig) -> list:
-        row = [cfg.N, cfg.delta, cfg.k, cfg.W, cfg.b0, self.sum_w2]
-        row.extend(self.prime_sq_sums)
-        row.extend(self.ratios)
-        row.append(self.pair_max_ratio)
-        return row
-
-    @staticmethod
-    def csv_header(k: int) -> list:
-        head = ["N", "delta", "k", "W", "b0", "sum_w2"]
-        head += [f"sum_prime_w2_{i}" for i in range(k)]
-        head += [f"ratio_{i}" for i in range(k)]
-        head.append("pair_max_ratio")
-        return head
-
 
 def _w2_gram(w2: np.ndarray, masks, hits=None) -> list[list[float]]:
     """g[a][b] = sum of w2 where masks a and b both hold (g[a][a]: mask a

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import cells
+from sievelab import cells, cli
 from sievelab.errors import ParameterConditionError, ResourceBudgetError
 from sievelab.primes import sieve_range
 from sievelab.tuples import densest_tuple
@@ -191,20 +191,31 @@ class TestSingletonScan:
             assert tuple(row) == res.counts
             assert res.n_singleton >= 2
 
-    def test_csv_shape(self):
+    @staticmethod
+    def scan_csv(tmp_path, lo, hi, min_singletons):
+        """The CSV body of the gaps command's scan of (0, 2, 6) in one cell
+        per offset, its config comment lines dropped."""
+        out = tmp_path / "scan.csv"
+        argv = ["gaps", "--tuple", "0,2,6", "--theta", "1.0", "--lo", str(lo),
+                "--hi", str(hi), "--min-singletons", str(min_singletons)]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        text = out.read_text()
+        return text[text.index("\nn,") + 1:]
+
+    def test_csv_shape(self, tmp_path):
         part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
         scan = cells.scan_singleton_cells(part, 3, 500, min_singletons=3)
-        text = scan.csv()
+        text = self.scan_csv(tmp_path, 3, 500, 3)
         lines = text.strip().split("\n")
         assert lines[0] == "n,cell_0,cell_1,cell_2"
         assert len(lines) == len(scan) + 1
         assert text.endswith("\n")
 
-    def test_empty_scan_keeps_cell_columns(self):
+    def test_empty_scan_keeps_cell_columns(self, tmp_path):
         part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
         scan = cells.scan_singleton_cells(part, 10, 200, min_singletons=4)
         assert scan.counts.shape == (0, 3)
-        assert scan.csv() == "n,cell_0,cell_1,cell_2\n"
+        assert self.scan_csv(tmp_path, 10, 200, 4) == "n,cell_0,cell_1,cell_2\n"
 
     def test_validation_and_budget(self):
         part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)

@@ -361,6 +361,38 @@ class TestOutputShapes:
         # a scan flag left at its default changes nothing
         assert run_cli(argv + ["--theta", "1.0", "--residue", "0"])[1] == run_cli(argv)[1]
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--tol", "1"], "--tol"),
+        (["--min-len", "3", "--gap-limit", "1e4"], "--gap-limit, --min-len"),
+    ])
+    def test_gaps_scan_mode_refuses_beta_flags(self, flags, named):
+        argv = ["gaps", "--tuple", "0,2,6", "--hi", "200"]
+        code, out, err = run_cli(argv + flags)
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith(f"scan mode ignores the flags {named}")
+        # a beta-mode flag left at its default changes nothing
+        assert run_cli(argv + ["--tol", "0.05", "--min-len", "2"])[1] == run_cli(argv)[1]
+
+    def test_variational_refuses_flags_its_mode_ignores(self):
+        code, out, err = run_cli(["variational", "--k", "3", "--c", "0.5"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("variational without --psi ignores the flag --c")
+        argv = ["variational", "--k", "20", "--psi", "loglog"]
+        kernel = ["--base", "1.5", "--slope", "3", "--cutoff", "1"]
+        code, out, err = run_cli(argv + kernel)
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--psi ignores the flags --base, --slope, --cutoff")
+        # flags left at their defaults change nothing
+        assert run_cli(argv + ["--base", "2", "--slope", "10"])[1] == run_cli(argv)[1]
+        assert run_cli(["variational", "--k", "3", "--c", "1"])[0] == 0
+
+    def test_c_is_not_an_abbreviated_config(self):
+        argv = ["variational", "--k", "20", "--psi", "loglog"]
+        code, out, err = run_cli(argv + ["--c", "0.5"])
+        assert code == 0, err
+        assert json.loads(out)["config"]["c"] == 0.5
+        assert out != run_cli(argv)[1]  # c moves the schedule
+
     def test_output_file_instead_of_stdout(self, tmp_path):
         target = tmp_path / "stats.csv"
         code, out, _ = run_cli(
@@ -415,6 +447,14 @@ PINNED_STDOUT = {
         "ad700c94400148778761719fac6bd9a7d40968c2461242e9afd49d410aedab10",
     "gaps --beta 0.1,0.5,1.2,2.0 --gap-limit 1e4":
         "5630b03c9343e3fe35fa5e3ea914a31b7ab57a36a73b88088f1e79bc1da5b9c0",
+    # 10,004 exceptions in the JSON; the satz column in the CSV row; a scan
+    # on a residue class with the cell columns of split_into_cells
+    "density --limit 2e4 --max-diff 4e4":
+        "2d49152ebfbe576f79c58a493befc75034ec735a86c14bbe1040da79e4009a23",
+    "sieve --N 2e5 --delta 0.25 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff 2.9 --satz 2":
+        "317387432b8073796f2026516f758111998f1b45665e2dd20ad45d54ea679a0f",
+    "gaps --tuple 0,2,6,8 --n-cells 4 --lo 3 --hi 2000 --min-singletons 4 --modulus 6 --residue 5":
+        "ef46966d80b1da1e1100526751b97f134d9759c013c1e6c8959c1a44bb44a492",
 }
 
 
@@ -560,6 +600,26 @@ class TestConfigFile:
         assert err.rstrip().endswith("--stats ignores the flag --max-diff")
         code, out, _ = run_cli(["--config", ini, "primes", "--gap-counts"])
         assert code == 0 and "# max_diff=7" in out.splitlines()
+
+    def test_config_flag_is_never_abbreviated(self, tmp_path):
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 30\n")
+        code, out, _ = run_cli(["--conf", ini, "primes", "--limit", "100", "--stats"])
+        assert code == 2 and out == ""
+        code, out, _ = run_cli(["--config", ini, "primes", "--stats"])
+        assert code == 0 and "# limit=30" in out.splitlines()
+
+    def test_keys_the_mode_ignores_refused(self, tmp_path):
+        ini = self.write_ini(
+            tmp_path,
+            "[variational]\nk = 3\nc = 0.5\n"
+            "[gaps]\ntuple = 0,2,6\nhi = 200\ntol = 1\n",
+        )
+        code, out, err = run_cli(["--config", ini, "variational"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("variational without --psi ignores the flag --c")
+        code, out, err = run_cli(["--config", ini, "gaps"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("scan mode ignores the flags --tol")
 
     def test_unrelated_section_ignored(self, tmp_path):
         ini = self.write_ini(tmp_path, "[density]\nlimit = 999\n")

@@ -1,15 +1,23 @@
-"""Report dict views, and the column-major CSV writer against the row-wise
-writer it replaced."""
+"""Report dict views and stable JSON against the two walks they replaced,
+and the column-major CSV writer against the row-wise writer it replaced."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sievelab import cells, graphs, reportio, sieve, variational
-from sievelab.reportio import CSV_BLOCK_ROWS, csv_cell, csv_lines, stable_json
+from sievelab.reportio import (
+    CSV_BLOCK_ROWS,
+    csv_cell,
+    csv_lines,
+    report_dict,
+    stable_json,
+)
+from sievelab.tuples import as_tuple
 from sievelab.variational import KernelParams
 
 # one small instance of each report, with the derived values its view adds
@@ -86,6 +94,159 @@ def test_view_writes_nested_reports_and_offset_tuples():
     assert [list(e) for e in entries] == [
         [f.name for f in dataclasses.fields(variational.FourierCheckEntry)]
     ] * len(fourier.entries)
+
+
+# Oracle: the two walks that report_dict and stable_json made before they
+# shared one.  _view gave the dict view; _canonical mapped a view for JSON.
+def _view(value):
+    if hasattr(value, "serialize"):
+        return value.serialize()
+    if dataclasses.is_dataclass(value):
+        return oracle_report_dict(value)
+    if isinstance(value, tuple):
+        return [_view(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _view(v) for k, v in value.items()}
+    return value
+
+
+def _canonical(obj):
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return float("%.12g" % f) if math.isfinite(f) else str(f)
+    return obj
+
+
+def oracle_report_dict(report) -> dict:
+    names = [f.name for f in dataclasses.fields(report)]
+    names += getattr(report, "derived", ())
+    return {name: _view(getattr(report, name)) for name in names}
+
+
+def oracle_stable_json(obj) -> str:
+    """What the CLI wrote: the view of obj, mapped by _canonical."""
+    return json.dumps(
+        _canonical(_view(obj)), sort_keys=True, indent=2, allow_nan=False
+    ) + "\n"
+
+
+def same(got, want) -> bool:
+    """got holds only plain Python types and equals want value for value;
+    NaN matches NaN, and -0.0 only -0.0."""
+    if isinstance(want, dict):
+        return type(got) is dict and list(got) == list(want) and all(
+            same(got[k], want[k]) for k in want
+        )
+    if isinstance(want, list):
+        return type(got) is list and len(got) == len(want) and all(map(same, got, want))
+    if isinstance(want, (bool, np.bool_)):
+        return type(got) is bool and got == want
+    if isinstance(want, (int, np.integer)):
+        return type(got) is int and got == want
+    if isinstance(want, (float, np.floating)):
+        if math.isnan(want):
+            return type(got) is float and math.isnan(got)
+        sign = math.copysign(1, got) == math.copysign(1, want)
+        return type(got) is float and got == want and sign
+    return type(got) is type(want) and got == want
+
+
+@dataclasses.dataclass(frozen=True)
+class Nested:
+    """A report holding drawn values, with a derived value of its own."""
+
+    first: object
+    second: object
+
+    derived = ("both",)
+
+    @property
+    def both(self):
+        return (self.first, self.second)
+
+
+SPECIALS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300, 1e300]
+any_float = st.one_of(st.sampled_from(SPECIALS), st.floats())
+float32 = st.floats(width=32)
+int_dtypes = [(np.int64, -(2**63), 2**63 - 1), (np.int32, -(2**31), 2**31 - 1),
+              (np.uint64, 0, 2**64 - 1)]
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), any_float,
+    st.text(alphabet="ab-", max_size=3),
+    *(st.integers(lo, hi).map(d) for d, lo, hi in int_dtypes),
+    st.booleans().map(np.bool_), any_float.map(np.float64), float32.map(np.float32),
+)
+
+
+def arrays():
+    def of(elements, dtype):
+        shapes = st.sampled_from([(-1,), (-1, 1)])
+        return st.tuples(st.lists(elements, max_size=5), shapes).map(
+            lambda vs: np.array(vs[0], dtype=dtype).reshape(vs[1])
+        )
+
+    return st.one_of(
+        *(of(st.integers(lo, hi), d) for d, lo, hi in int_dtypes),
+        of(st.booleans(), bool), of(float32, np.float32), of(any_float, np.float64),
+        of(st.one_of(st.integers(2**63, 2**80), any_float), object),
+    )
+
+
+# The old _view left a list as it was, so lists hold scalars and lists only;
+# tuples, dicts and reports hold anything.
+plain_lists = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3))
+offset_tuples = st.sampled_from([(0, 2), (0, 2, 6), (0, 4, 6, 10)]).map(as_tuple)
+values = st.recursive(
+    st.one_of(scalars, arrays(), offset_tuples, plain_lists),
+    lambda inner: st.one_of(
+        st.dictionaries(st.text(alphabet="xyz", max_size=3), inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.builds(Nested, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@given(values, values)
+@settings(max_examples=300, deadline=None)
+def test_one_walk_matches_the_two_it_replaced(first, second):
+    report = Nested(first, second)
+    assert same(report_dict(report), oracle_report_dict(report))
+    assert stable_json(report) == oracle_stable_json(report)
+    assert stable_json(first) == oracle_stable_json(first)
+
+
+def test_json_keys_written_as_str_and_sorted_as_str():
+    obj = {10: 1.5, 2: (np.int64(3), np.float32(0.1)), "a": np.arange(3)}
+    assert stable_json(obj) == oracle_stable_json(obj)
+    assert list(json.loads(stable_json(obj))) == ["10", "2", "a"]
+
+
+def test_int_and_bool_arrays_take_one_tolist(monkeypatch):
+    # no per-element walk: the elements of an int or bool array never reach it
+    seen = []
+    walk = reportio._plain
+
+    def spy(value, real):
+        seen.append(type(value))
+        return walk(value, real)
+
+    monkeypatch.setattr(reportio, "_plain", spy)
+    big = np.arange(10_000)
+    assert stable_json({"a": big, "b": big > 5}) == oracle_stable_json(
+        {"a": big, "b": big > 5}
+    )
+    assert seen == [dict, np.ndarray, np.ndarray]
 
 
 def rowwise_csv_lines(header, rows) -> str:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sievelab import sieve
+from sievelab import cli, sieve
 from sievelab.errors import ParameterConditionError, ResourceBudgetError
 from sievelab.primes import sieve_range
 from sievelab.variational import KernelParams
@@ -512,11 +512,15 @@ class TestMomentSums:
                 ) * (1 + 1e-12)
         assert rep.pair_sq_sums[0][0] == rep.prime_sq_sums[0]
 
-    def test_csv_shapes(self):
+    def test_csv_shapes(self, tmp_path):
+        # the CSV layout is the sieve command's; read it off its output
         cfg = rich_config()
-        rep = sieve.moment_sums(cfg, 1, 20000)
-        header = sieve.MomentReport.csv_header(cfg.k)
-        row = rep.csv_row(cfg)
+        out = tmp_path / "sieve.csv"
+        argv = ["sieve", "--N", "50000", "--delta", "0.45", "--tuple", "0,2,6",
+                "--base", "1.1", "--slope", "3", "--cutoff", "2.9"]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        header, row = [l.split(",") for l in out.read_text().splitlines()
+                       if not l.startswith("#")]
         assert len(header) == len(row) == 6 + 2 * cfg.k + 1
         assert header[0] == "N" and header[-1] == "pair_max_ratio"
 
