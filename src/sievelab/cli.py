@@ -5,6 +5,11 @@ output (CSV comment header or JSON config block) along with the tool
 version.  No timestamps, no environment leakage: identical arguments give
 byte-identical files.  Exit codes: 0 success, 2 usage, 3 resource budget,
 4 parameter condition, 5 internal invariant.
+
+One parser, built once per process and never changed, reads every run.
+`--config file.ini` turns the subcommand's section into flags placed
+before the explicit ones, so both pass the same checks and explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import decimal
+import functools
 import sys
 
 import numpy as np
@@ -92,11 +98,11 @@ def json_document(config: dict, result) -> str:
 
 
 def refuse_ignored(args, dests, why: str) -> None:
-    """Refuse each of the dests that args sets off the default a freshly
-    built parser declares, so a config-file key cannot hide one either:
+    """Refuse each of the dests that args sets off the default its parser
+    declares; a config-file key is a flag, so it is refused too.
     ParameterConditionError (exit 4) names the flags after `why`."""
-    fresh = build_parser()[1][args.command]
-    stray = [d for d in dests if getattr(args, d) != fresh.get_default(d)]
+    declared = build_parser()[1][args.command]
+    stray = [d for d in dests if getattr(args, d) != declared.get_default(d)]
     if stray:
         flags = ", ".join("--" + d.replace("_", "-") for d in stray)
         raise ParameterConditionError(f"{why} {flags}")
@@ -189,6 +195,8 @@ def _flat_sieve_config(cfg: sieve.SieveConfig) -> dict:
 
 
 def cmd_sieve(args) -> str:
+    if args.unrestricted:  # every n is scanned, so b0 selects nothing
+        refuse_ignored(args, ["b0"], "--unrestricted ignores the flag")
     cfg = _sieve_config(args)
     if args.range_half:
         lo, hi = cfg.N, 2 * cfg.N - 1
@@ -225,6 +233,7 @@ def cmd_sieve(args) -> str:
 
 
 def cmd_goldbach_scan(args) -> str:
+    refuse_ignored(args, ["b0"], "goldbach-scan ignores the flag")
     cfg = _sieve_config(args)
     rep = sieve.goldbach_window_scan(cfg, N=args.target)
     config = _flat_sieve_config(cfg)
@@ -290,6 +299,7 @@ def cmd_gaps(args) -> str:
     if args.tuple is None:
         raise ParameterConditionError("scan mode needs --tuple (or pass --beta)")
     if args.n_cells is not None:
+        refuse_ignored(args, ["theta"], "--n-cells ignores the flag")
         part = cells.split_into_cells(args.tuple, args.n_cells, m=args.m)
     else:
         part = cells.partition_tuple(args.tuple, theta=args.theta, m=args.m)
@@ -320,6 +330,7 @@ def cmd_gaps(args) -> str:
 # parser assembly
 
 
+@functools.cache  # one parser per process, never changed once built
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sievelab",
@@ -428,12 +439,8 @@ def build_parser():
     return parser, submap
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
-def _config_value(action, key: str, text: str, command: str):
-    """A config-file value checked as argparse checks the flag: its type,
+def _config_value(action, key: str, text: str, command: str) -> None:
+    """Check a config-file value as argparse checks the flag: its type,
     then its choices."""
     try:
         value = text if action.type is None else action.type(text)
@@ -444,10 +451,12 @@ def _config_value(action, key: str, text: str, command: str):
             f"{key!r} in [{command}] must be one of {list(action.choices)}, "
             f"got {value!r}"
         )
-    return value
 
 
-def _apply_config_file(path: str, command: str, subparser) -> None:
+def _config_flags(path: str, command: str, explicit) -> list[str]:
+    """The [command] section of the INI file as flag tokens: a true boolean
+    key adds its flag, a false one nothing, and a key yields to an explicit
+    flag that sets the same dest (a mode key to any mode flag)."""
     ini = configparser.ConfigParser()
     ini.optionxform = str  # keep key case, --N and --n-cells must stay distinct
     try:
@@ -457,73 +466,55 @@ def _apply_config_file(path: str, command: str, subparser) -> None:
     if not read:
         raise ParameterConditionError(f"config file {path!r} not found")
     if command not in ini:
-        return
+        return []
     # keys are long option names (dashes or underscores), e.g. `max-diff = 200`
-    actions = {}
-    for a in subparser._actions:
-        for opt in a.option_strings:
-            if opt.startswith("--"):
-                actions[opt[2:].replace("-", "_")] = a
-    overrides = {}
-    for raw_key, raw_val in ini[command].items():
-        key = raw_key.replace("-", "_")
-        if key not in actions:
+    actions = build_parser()[1][command]._option_string_actions
+    flags = {opt[2:].replace("-", "_"): opt for opt in actions if opt[:2] == "--"}
+    named = {tok.split("=", 1)[0] for tok in explicit}
+    given = {actions[opt].dest for opt in named if opt in actions}  # explicit dests
+    section = ini[command]
+    tokens = []
+    for raw_key, raw_val in section.items():
+        opt = flags.get(raw_key.replace("-", "_"))
+        if opt is None:
             raise ParameterConditionError(
                 f"unknown option {raw_key!r} in config section [{command}]"
             )
-        action = actions[key]
-        if isinstance(
-            action, (argparse._StoreTrueAction, argparse._StoreConstAction)
-        ):
-            low = raw_val.strip().lower()
-            if low in _BOOL_TRUE:
-                overrides[action.dest] = (
-                    True
-                    if isinstance(action, argparse._StoreTrueAction)
-                    else action.const
-                )
-            elif low in _BOOL_FALSE:
-                overrides[action.dest] = action.default
-            else:
+        action = actions[opt]
+        if action.nargs == 0:
+            try:
+                on = section.getboolean(raw_key)
+            except ValueError:
                 raise ParameterConditionError(
                     f"flag {raw_key!r} in [{command}] must be boolean, got {raw_val!r}"
                 )
+            if on and action.dest not in given:
+                tokens.append(opt)
         else:
-            overrides[action.dest] = _config_value(action, raw_key, raw_val, command)
-        action.required = False  # the config value satisfies required flags
-    for group in subparser._mutually_exclusive_groups:
-        if group.required and any(a.dest in overrides for a in group._group_actions):
-            group.required = False
-    subparser.set_defaults(**overrides)
-
-
-def _find_command(argv, submap) -> str | None:
-    skip_next = False
-    for tok in argv:
-        if skip_next:
-            skip_next = False
-            continue
-        if tok == "--config":
-            skip_next = True
-            continue
-        if tok.startswith("-"):
-            continue
-        return tok if tok in submap else None
-    return None
+            _config_value(action, raw_key, raw_val, command)
+            tokens.append(f"{opt}={raw_val}")
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, submap = build_parser()
     try:
-        # apply config-file defaults before the real parse so explicit flags win
+        # the config section goes in as flags just after the command, so
+        # the explicit flags that follow it win
         pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
-        pre_args, _ = pre.parse_known_args(argv)
-        if pre_args.config:
-            command = _find_command(argv, submap)
-            if command:
-                _apply_config_file(pre_args.config, command, submap[command])
+        pre.add_argument("rest", nargs=argparse.REMAINDER)
+        known, stray = pre.parse_known_args(argv)
+        # an unknown flag before the command (--conf): name it, rather than
+        # the value after it as a bad command
+        stray = [tok for tok in stray if tok not in parser._option_string_actions]
+        if stray:
+            parser.error(f"unrecognized arguments: {' '.join(stray)}")
+        command = known.rest[0] if known.rest else None
+        if known.config and command in submap:
+            at = len(argv) - len(known.rest) + 1
+            argv[at:at] = _config_flags(known.config, command, argv[at:])
         args = parser.parse_args(argv)
         emit(args, args.func(args))
         return 0

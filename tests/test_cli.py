@@ -373,6 +373,34 @@ class TestOutputShapes:
         # a beta-mode flag left at its default changes nothing
         assert run_cli(argv + ["--tol", "0.05", "--min-len", "2"])[1] == run_cli(argv)[1]
 
+    def test_n_cells_refuses_theta(self, tmp_path):
+        # split_into_cells takes no theta, so the flag moved no byte
+        argv = ["gaps", "--tuple", "0,2,6,8", "--n-cells", "4", "--hi", "50"]
+        code, out, err = run_cli(argv + ["--theta", "0.5"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--n-cells ignores the flag --theta")
+        ini = tmp_path / "w.ini"
+        ini.write_text("[gaps]\ntheta = 0.5\n")
+        code, out, err = run_cli(["--config", str(ini)] + argv)
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--n-cells ignores the flag --theta")
+        assert run_cli(argv + ["--theta", "1.0"])[1] == run_cli(argv)[1]
+
+    @pytest.mark.parametrize("argv, why", [
+        (["sieve", "--N", "2e4", "--unrestricted"], "--unrestricted ignores"),
+        (["goldbach-scan", "--N", "2000", "--tuple", "0,2", "--allow-small-window"],
+         "goldbach-scan ignores"),
+    ], ids=["sieve-unrestricted", "goldbach-scan"])
+    def test_b0_refused_where_every_n_is_scanned(self, argv, why):
+        code, out, err = run_cli(argv + ["--b0", "221"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith(f"{why} the flag --b0")
+        # the restricted grid steps over n = b0 mod W, so there b0 counts
+        restricted = ["sieve", "--N", "2e4"]
+        code, out, err = run_cli(restricted + ["--b0", "221"])
+        assert code == 0, err
+        assert "# b0=221" in out.splitlines() and out != run_cli(restricted)[1]
+
     def test_variational_refuses_flags_its_mode_ignores(self):
         code, out, err = run_cli(["variational", "--k", "3", "--c", "0.5"])
         assert code == 4 and out == ""
@@ -526,15 +554,60 @@ class TestConfigFile:
         assert code == 0
         assert "# delta=0.28" in out.splitlines()
 
-    def test_config_equals_flags_byte_for_byte(self, tmp_path):
+    @pytest.mark.parametrize("section, argv", [
+        # a mode key and an int key
+        ("limit = 2000\ngap-counts = true\nmax-diff = 50\n",
+         ["primes", "--limit", "2000", "--gap-counts", "--max-diff", "50"]),
+        ("k = 4\nmc-samples = 1e4\nseed = 11\n",
+         ["variational", "--k", "4", "--mc-samples", "1e4", "--seed", "11"]),
+        # a store_true key; the section holds every other SIEVE_ARGS flag
+        ("N = 20000\ndelta = 0.3\ntuple = 0,2,6\nbase = 1.1\nslope = 3.0\n"
+         "cutoff = 2.9\nthreads = 2\nunrestricted = on\n",
+         SIEVE_ARGS + ["--unrestricted"]),
+        ("N = 2000\ntuple = 0,2\nallow-small-window = yes\ntarget = 600\n",
+         ["goldbach-scan", "--N", "2000", "--tuple", "0,2",
+          "--allow-small-window", "--target", "600"]),
+        ("limit = 2e4\nmax-diff = 200\nformat = csv\n",
+         ["density", "--limit", "2e4", "--max-diff", "200", "--format", "csv"]),
+        # a negative offset, which after a space the parser reads as a flag
+        ("tuple = -2,0,4\nhi = 200\nmin_singletons = 2\n",
+         ["gaps", "--tuple=-2,0,4", "--hi", "200", "--min-singletons", "2"]),
+    ], ids=["primes", "variational", "sieve", "goldbach-scan", "density", "gaps"])
+    def test_config_equals_flags_byte_for_byte(self, tmp_path, section, argv):
+        ini = self.write_ini(tmp_path, f"[{argv[0]}]\n{section}")
+        code, via_config, err = run_cli(["--config", ini, argv[0]])
+        assert code == 0, err
+        assert via_config == run_cli(argv)[1]
+
+    def test_config_equals_sign_form(self, tmp_path):
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 100\nstats = true\n")
+        code, out, err = run_cli([f"--config={ini}", "primes"])
+        assert code == 0, err
+        assert out == run_cli(["primes", "--limit", "100", "--stats"])[1]
+
+    def test_mode_key_yields_to_explicit_mode_flag(self, tmp_path):
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 100\nstats = true\n")
+        code, out, err = run_cli(["--config", ini, "primes", "--gap-counts"])
+        assert code == 0, err
+        assert out == run_cli(["primes", "--limit", "100", "--gap-counts"])[1]
+
+    def test_false_mode_key_leaves_the_mode_required(self, tmp_path):
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 30\nstats = false\n")
+        code, out, err = run_cli(["--config", ini, "primes"])
+        assert code == 2 and out == ""
+        assert "one of the arguments --stats" in err
+        assert run_cli(["primes", "--limit", "30"])[0] == 2
+        code, out, _ = run_cli(["--config", ini, "primes", "--goldbach-gaps"])
+        assert code == 0 and "# mode=goldbach-gaps" in out.splitlines()
+
+    def test_two_mode_keys_refused_like_two_mode_flags(self, tmp_path):
         ini = self.write_ini(
-            tmp_path,
-            "[sieve]\nN = 20000\ndelta = 0.3\ntuple = 0,2,6\n"
-            "base = 1.1\nslope = 3.0\ncutoff = 2.9\nthreads = 2\n",
+            tmp_path, "[primes]\nlimit = 30\nstats = true\ngap-counts = true\n"
         )
-        _, via_config, _ = run_cli(["--config", ini, "sieve"])
-        _, via_flags, _ = run_cli(SIEVE_ARGS)
-        assert via_config == via_flags
+        code, out, err = run_cli(["--config", ini, "primes"])
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err
+        assert run_cli(["primes", "--limit", "30", "--stats", "--gap-counts"])[0] == 2
 
     def test_mode_flag_and_boolean_in_config(self, tmp_path):
         ini = self.write_ini(tmp_path, "[primes]\nlimit = 1000\nstats = true\n")
@@ -603,10 +676,29 @@ class TestConfigFile:
 
     def test_config_flag_is_never_abbreviated(self, tmp_path):
         ini = self.write_ini(tmp_path, "[primes]\nlimit = 30\n")
-        code, out, _ = run_cli(["--conf", ini, "primes", "--limit", "100", "--stats"])
+        code, out, err = run_cli(["--conf", ini, "primes", "--limit", "100", "--stats"])
         assert code == 2 and out == ""
+        # the misspelled flag is named, not its value as a bad command
+        assert err.rstrip().endswith("unrecognized arguments: --conf")
         code, out, _ = run_cli(["--config", ini, "primes", "--stats"])
         assert code == 0 and "# limit=30" in out.splitlines()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 100\n")
+        argv = ["--config", ini, "primes", "--stats"]
+        assert run_cli(argv)[0] == 0
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        assert "# limit=100" in out.splitlines()
+        assert len(built) == 1  # the --config pre-parser
 
     def test_keys_the_mode_ignores_refused(self, tmp_path):
         ini = self.write_ini(
