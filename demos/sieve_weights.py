@@ -3,10 +3,11 @@ Divisor-sum sieve weights and window statistics
 ===============================================
 
 Weights w(n) = (sum over divisor tuples of lambda)^2 concentrate mass on
-integers n for which every n + h_i avoids small prime factors.  Three
-independent evaluation paths (per-n recursion, definitional enumeration,
-whole-window array) agree to machine precision; windowed moment sums then
-compare weighted prime hits against plain weight mass.
+integers n for which every n + h_i avoids small prime factors.  Each
+divisor tuple holds on one residue class of n; a per-n lookup in that class
+table and the whole-window array that reads it agree with the definitional
+enumeration, the independent oracle, to machine precision; windowed moment
+sums then compare weighted prime hits against plain weight mass.
 """
 
 from sievelab import primes, sieve

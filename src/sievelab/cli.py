@@ -98,11 +98,10 @@ def json_document(config: dict, result) -> str:
 
 
 def refuse_ignored(args, dests, why: str) -> None:
-    """Refuse each of the dests that args sets off the default its parser
-    declares; a config-file key is a flag, so it is refused too.
+    """Refuse each of the dests given on the command line or as a
+    config-file key (args.given), whatever its value.
     ParameterConditionError (exit 4) names the flags after `why`."""
-    declared = build_parser()[1][args.command]
-    stray = [d for d in dests if getattr(args, d) != declared.get_default(d)]
+    stray = [d for d in dests if d in args.given]
     if stray:
         flags = ", ".join("--" + d.replace("_", "-") for d in stray)
         raise ParameterConditionError(f"{why} {flags}")
@@ -350,7 +349,8 @@ def build_parser():
             p.add_argument(f"--{name}", type=float, default=default)
 
     def add(name, func, **kw):
-        sp = subs.add_parser(name, **kw)
+        # abbreviations off: --gap-c is no --gap-counts, --del no --delta
+        sp = subs.add_parser(name, allow_abbrev=False, **kw)
         sp.set_defaults(func=func)
         sp.add_argument("--output", help="write here instead of stdout")
         submap[name] = sp
@@ -453,6 +453,14 @@ def _config_value(action, key: str, text: str, command: str) -> None:
         )
 
 
+def _given_dests(command: str, tokens) -> set[str]:
+    """The dests of the flags among tokens, matched exactly (`--x` or
+    `--x=value`)."""
+    actions = build_parser()[1][command]._option_string_actions
+    named = {tok.split("=", 1)[0] for tok in tokens}
+    return {actions[opt].dest for opt in named if opt in actions}
+
+
 def _config_flags(path: str, command: str, explicit) -> list[str]:
     """The [command] section of the INI file as flag tokens: a true boolean
     key adds its flag, a false one nothing, and a key yields to an explicit
@@ -470,8 +478,7 @@ def _config_flags(path: str, command: str, explicit) -> list[str]:
     # keys are long option names (dashes or underscores), e.g. `max-diff = 200`
     actions = build_parser()[1][command]._option_string_actions
     flags = {opt[2:].replace("-", "_"): opt for opt in actions if opt[:2] == "--"}
-    named = {tok.split("=", 1)[0] for tok in explicit}
-    given = {actions[opt].dest for opt in named if opt in actions}  # explicit dests
+    given = _given_dests(command, explicit)
     section = ini[command]
     tokens = []
     for raw_key, raw_val in section.items():
@@ -512,10 +519,13 @@ def main(argv=None) -> int:
         if stray:
             parser.error(f"unrecognized arguments: {' '.join(stray)}")
         command = known.rest[0] if known.rest else None
+        at = len(argv) - len(known.rest) + 1
         if known.config and command in submap:
-            at = len(argv) - len(known.rest) + 1
             argv[at:at] = _config_flags(known.config, command, argv[at:])
         args = parser.parse_args(argv)
+        # every flag after the command, config keys included, counts as
+        # given whatever its value; refuse_ignored reads this set
+        args.given = _given_dests(args.command, argv[at:])
         emit(args, args.func(args))
         return 0
     except ResourceBudgetError as e:

@@ -3,13 +3,15 @@
 The weight of n is the sum of lambda_d, a mu-signed multivariate test
 function at the points log d_i / log R, over tuples of divisors
 d_i | n + h_i.  One cached `Support` per (R, W, params) holds the Moebius
-table, the divisors, the support primes and the one table of lambda, with
-an exact tuple count (a refusal, ResourceBudgetError or CLI exit code 3,
-names it).  Three weight paths coexist on purpose: a per-n divisor walk
-reading that table (`weight`), a definitional oracle evaluating the test
-function itself (`naive_weight`), and a vectorized path placing each
-lambda along its progression of n by the one CRT placement `_place`
-(`weight_array`).  The moment sums, the profile-swap domination check
+table, the divisors and the one table of lambda, with an exact tuple count
+(a refusal, ResourceBudgetError or CLI exit code 3, names it).  A tuple
+holds on exactly one residue class of n modulo lcm(d_i), or on none;
+`divisor_class` solves it, and the class table of (a, m, lambda), cached
+per Support and offsets, is what the fast paths read: `weight` is a per-n
+lookup in it, and `weight_array` merges each class with its grid
+(`_place`) and adds lambda along the progression.  `naive_weight`, which
+evaluates the test function over the divisors of each n + h_i, is the
+independent oracle.  The moment sums, the profile-swap domination check
 (placed on the grid the same way) and the mirrored-window scan build on it.
 """
 
@@ -163,16 +165,14 @@ class Support:
 
     mu is the Moebius function on [0, R], read-only and zero off the
     support (d not squarefree, or sharing a prime with W).  divisors are
-    the d with mu[d] != 0 in ascending order (1 included), primes the
-    primes <= R not dividing W.  visits is the exact number of ordered
-    k-tuples of divisors with product <= R, which the enumeration walks;
-    coeff, read-only and in enumeration order, maps each tuple with a
-    nonzero coefficient to it: the one table of lambda.
+    the d with mu[d] != 0 in ascending order (1 included).  visits is the
+    exact number of ordered k-tuples of divisors with product <= R, which
+    the enumeration walks; coeff, read-only and in enumeration order, maps
+    each tuple with a nonzero coefficient to it: the one table of lambda.
     """
 
     mu: np.ndarray
     divisors: tuple[int, ...]
-    primes: tuple[int, ...]
     visits: int
     coeff: MappingProxyType[tuple[int, ...], float]
 
@@ -236,8 +236,7 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
         ts[i] = 0.0
 
     rec(0, 1, 1)
-    support_primes = tuple(p for p in small if W % p)
-    return Support(mu, divisors, support_primes, visits, MappingProxyType(out))
+    return Support(mu, divisors, visits, MappingProxyType(out))
 
 
 def lambda_tuples(cfg: SieveConfig) -> ItemsView[tuple[int, ...], float]:
@@ -258,54 +257,55 @@ def lambda_coeff(cfg: SieveConfig, d) -> float:
     return cfg.support.coeff.get(d, 0.0)
 
 
-def _distinct_support_primes(m: int, cfg: SieveConfig, table) -> list[int]:
-    """Distinct primes of m that are <= R and coprime to W."""
-    # spf walking needs every quotient in range, hence the lo <= 2 condition
-    if (
-        table is not None
-        and table.spf is not None
-        and table.lo <= 2
-        and m < table.hi
-    ):
-        return [p for p in table.distinct_primes(m) if p <= cfg.R and cfg.W % p != 0]
-    return [p for p in cfg.support.primes if m % p == 0]
+def _crt_merge(a1: int, m1: int, a2: int, m2: int):
+    """Solve x = a1 mod m1, x = a2 mod m2; None when inconsistent."""
+    g = math.gcd(m1, m2)
+    if (a2 - a1) % g != 0:
+        return None
+    l = m1 // g * m2
+    step = pow(m1 // g, -1, m2 // g) if m2 // g > 1 else 0
+    x = (a1 + (a2 - a1) // g % (m2 // g) * step % (m2 // g) * m1) % l
+    return x, l
+
+
+def divisor_class(offsets, d):
+    """The class (a, m), m = lcm(d_i) and 0 <= a < m, of the n with every
+    d_i | n + h_i; None when two of the congruences clash."""
+    a, m = 0, 1
+    for d_i, h in zip(d, offsets):
+        if d_i > 1:
+            merged = _crt_merge(a, m, -h % d_i, d_i)
+            if merged is None:
+                return None
+            a, m = merged
+    return a, m
+
+
+@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
+def _classes(support: Support, offsets: tuple[int, ...]) -> tuple:
+    """(a, m, lambda) for each tuple of the Support whose congruences hold
+    on a class n = a mod m, in enumeration order: the class table that
+    every weight path reads.  Keyed on the Support object, so each lookup
+    goes through build_support and its tuple budget."""
+    out = []
+    for d, lam in support.coeff.items():
+        cls = divisor_class(offsets, d)
+        if cls is not None:
+            out.append((*cls, lam))
+    return tuple(out)
 
 
 def weight(cfg: SieveConfig, n: int, table=None) -> float:
-    """Sieve weight of n by depth-first walk over divisor tuples.
-
-    Each d_i runs over the squarefree products of the support primes of
-    n + h_i, pruned by prod(d) <= R, and each tuple reached adds its
-    lambda from the Support (zero off it).  table is an optional
-    smallest-prime-factor table covering the n + h_i.
-    """
-    entries = [n + h for h in cfg.offsets]
-    if any(m < 1 for m in entries):
+    """Sieve weight of n: the sum of the lambda whose class holds n, read
+    from the class table in its order, so the value equals weight_array's
+    at n bit for bit.  table is accepted and unused: perfbench's replays
+    still pass a smallest-prime-factor table."""
+    if any(n + h < 1 for h in cfg.offsets):
         raise ParameterConditionError(f"n + h must be >= 1; n = {n}")
-    coeff = cfg.support.coeff
-    prime_lists = [_distinct_support_primes(m, cfg, table) for m in entries]
-
     total = 0.0
-
-    def rec(i, prod, d):
-        nonlocal total
-        if i == cfg.k:
-            total += coeff.get(d, 0.0)
-            return
-        # d_i = 1 branch first, then squarefree products of the prime list
-        rec(i + 1, prod, d + (1,))
-        primes = prime_lists[i]
-
-        def grow(j, di):
-            for idx in range(j, len(primes)):
-                nd = di * primes[idx]
-                if prod * nd <= cfg.R:
-                    rec(i + 1, prod * nd, d + (nd,))
-                    grow(idx + 1, nd)
-
-        grow(0, 1)
-
-    rec(0, 1, ())
+    for a, m, lam in _classes(cfg.support, cfg.offsets.offsets):
+        if n % m == a:
+            total += lam
     return total
 
 
@@ -330,36 +330,19 @@ def naive_weight(cfg: SieveConfig, n: int) -> float:
     return total
 
 
-def _crt_merge(a1: int, m1: int, a2: int, m2: int):
-    """Solve x = a1 mod m1, x = a2 mod m2; None when inconsistent."""
-    g = math.gcd(m1, m2)
-    if (a2 - a1) % g != 0:
-        return None
-    l = m1 // g * m2
-    step = pow(m1 // g, -1, m2 // g) if m2 // g > 1 else 0
-    x = (a1 + (a2 - a1) // g % (m2 // g) * step % (m2 // g) * m1) % l
-    return x, l
-
-
-def _place(cfg: SieveConfig, tuples, start: int, step: int, count: int) -> np.ndarray:
-    """values[j] = sum of c over the (d, c) in tuples with every d_i | n + h_i,
-    at n = start + j*step (j < count).  Each tuple's congruences, from the
-    grid's class start mod step, give a progression of grid positions; the
+def _place(classes, start: int, step: int, count: int) -> np.ndarray:
+    """values[j] = sum of c over the (a, m, c) in classes with n = a mod m,
+    at n = start + j*step (j < count).  Each class, merged with the grid's
+    class start mod step, gives a progression of grid positions; the
     values are added block by block (BLOCK points, cache-resident), in the
     given order inside each block, so values[j] is bit-identical to a
     whole-array pass."""
     progressions = []
-    for dt, c in tuples:
-        a, m = start % step, step
-        for d, h in zip(dt, cfg.offsets):
-            if d == 1:
-                continue
-            merged = _crt_merge(a, m, (-h) % d, d)
-            if merged is None:
-                break
-            a, m = merged
-        else:
+    for a, m, c in classes:
+        merged = _crt_merge(start % step, step, a, m)
+        if merged is not None:
             # positions j with start + j*step = a (mod m): step divides m
+            a, m = merged
             stride = m // step
             progressions.append(((a - start) // step % stride, stride, c))
     w = np.zeros(count)
@@ -379,8 +362,8 @@ def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
     step = cfg.W if restrict else 1
     start = lo + (cfg.b0 - lo) % step
     count = max((hi - start) // step + 1, 0)
-    tuples = lambda_tuples(cfg) if count else ()
-    return start, step, _place(cfg, tuples, start, step, count)
+    classes = _classes(cfg.support, cfg.offsets.offsets) if count else ()
+    return start, step, _place(classes, start, step, count)
 
 
 @dataclass(frozen=True)
@@ -482,7 +465,7 @@ def moment_sums(
             f"lower --N"
         )
     k = cfg.k
-    lambda_tuples(cfg)  # fill the cache before the workers read it
+    _classes(cfg.support, cfg.offsets.offsets)  # filled before the workers read it
     bounds = list(range(lo, hi + 1, MOMENT_SEGMENT)) + [hi + 1]
     jobs = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=threads or 1) as ex:
@@ -548,8 +531,11 @@ def tao_domination_check(
         )
         # lambda is mu(d_1)...mu(d_k) times a positive product of factors
         lam_alt = math.copysign(math.prod(factors), lam)
-        if lam_alt != lam:
-            swapped.append((dt, lam - lam_alt))
+        if lam_alt == lam:
+            continue
+        cls = divisor_class(cfg.offsets, dt)
+        if cls is not None:
+            swapped.append((*cls, lam - lam_alt))
 
     lo = max(lo, 1)
     max_h = cfg.offsets.offsets[-1]
@@ -562,7 +548,7 @@ def tao_domination_check(
     checked = np.flatnonzero(cand)
     if len(checked) and lo + checked[0] + cfg.offsets.offsets[0] < 1:
         raise ParameterConditionError(f"n + h must be >= 1; n = {lo + checked[0]}")
-    diff = np.abs(_place(cfg, swapped, lo, 1, n_scanned)[checked])
+    diff = np.abs(_place(swapped, lo, 1, n_scanned)[checked])
     return TaoCheckReport(
         n_lo=lo, n_hi=hi, index_pair=(i, j), n_scanned=n_scanned,
         n_checked=len(checked), violations=int(np.count_nonzero(diff)),

@@ -125,6 +125,15 @@ class SurfingTrace:
         return OffsetTuple(tuple(sorted(self.x + self.y)))
 
 
+def _lightest_class(values, p: int) -> tuple[int, int]:
+    """(class, count): the residue class mod p holding the fewest of values,
+    ties to the smallest residue, and how many it holds."""
+    counts = [0] * p
+    for v in values:
+        counts[v % p] += 1
+    return min(enumerate(counts), key=lambda rc: rc[1])  # first minimum
+
+
 def surfing_start_size(k: int) -> int:
     """Required input size 3^m * k where m counts primes <= 2k."""
     if k < 1:
@@ -181,13 +190,7 @@ def surfing(u, t, k: int) -> SurfingTrace:
     steps: list[SurfingStep] = []
     ell_seq = [ell]
     for p in odd_primes:
-        counts = [0] * p
-        for v in xs:
-            counts[v % p] += 1
-        for v in ys:
-            counts[v % p] += 1
-        cls = min(range(p), key=lambda r: (counts[r], r))
-        removed = counts[cls]
+        cls, removed = _lightest_class(xs + ys, p)
         if removed > (2 * ell) // p:
             raise InvariantViolationError(
                 f"pigeonhole failed at p={p}: lightest class {cls} has {removed} members"
@@ -235,11 +238,8 @@ def densest_tuple(k: int, search_width: int | None = None) -> OffsetTuple:
         cands = list(range(width + 1))
         for p in _small_primes(k):
             p = int(p)
-            counts = [0] * p
-            for v in cands:
-                counts[v % p] += 1
-            if all(counts):
-                cls = min(range(p), key=lambda r: (counts[r], r))
+            cls, count = _lightest_class(cands, p)
+            if count > 0:
                 cands = [v for v in cands if v % p != cls]
         if len(cands) >= k:
             best = min(

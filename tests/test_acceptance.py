@@ -4,6 +4,8 @@ Twelve numbered checks, one per core guarantee, each printing a single
 PASS/FAIL line (straight to the real stdout so the verdicts survive pytest
 capture).  They are intentionally heavier than the unit suites: full-range
 scans, frozen reference values, and independent brute-force oracles.
+Check 01 has one silent companion that holds two fast paths to bit
+equality on the same configs.
 """
 
 import contextlib
@@ -99,6 +101,18 @@ def test_01_weight_equals_enumeration():
         f"{n_cfg} configs x 10^4 points, max |diff| = {worst:.3g}, {elapsed:.1f}s",
     )
     assert ok
+
+
+def test_01_weight_is_the_grid_entry_bit_for_bit():
+    # weight and weight_array read one class table in one order, so on
+    # test 01's configs they agree exactly, not to a tolerance
+    rng = random.Random(20260823)
+    for idx in range(20):
+        cfg = _random_weight_config(rng, idx % 3 + 1)
+        start, step, w = sieve.weight_array(cfg, 1, 1000, restrict=False)
+        assert (start, step, len(w)) == (1, 1, 1000)
+        fast = [sieve.weight(cfg, n) for n in range(1, 1001)]
+        assert np.array_equal(np.array(fast), w)
 
 
 # ---------------------------------------------------------------------------

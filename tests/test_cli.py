@@ -163,8 +163,10 @@ class TestExitCodes:
         code, out, err = run_cli(argv + ["--max-diff", "7"])
         assert code == 4 and out == ""
         assert err.rstrip().endswith(f"{mode} ignores the flag --max-diff")
-        # --max-diff at its default changes nothing
-        assert run_cli(argv + ["--max-diff", "100"])[1] == run_cli(argv)[1]
+        # given at its default value, it is refused all the same
+        code, out, err = run_cli(["primes", "--limit", "100", mode, "--max-diff", "100"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith(f"{mode} ignores the flag --max-diff")
 
     @pytest.mark.parametrize("offsets", ["0,4,6,10,16,22,24,30", "0,4,6,10,12,16"])
     def test_wide_tuple_configs_run(self, offsets):
@@ -358,8 +360,10 @@ class TestOutputShapes:
         code, out, err = run_cli(argv + flags)
         assert code == 4 and out == ""
         assert err.rstrip().endswith(f"scan flags {named}")
-        # a scan flag left at its default changes nothing
-        assert run_cli(argv + ["--theta", "1.0", "--residue", "0"])[1] == run_cli(argv)[1]
+        # scan flags given at their default values are refused all the same
+        code, out, err = run_cli(argv + ["--theta", "1.0", "--residue", "0"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("scan flags --theta, --residue")
 
     @pytest.mark.parametrize("flags, named", [
         (["--tol", "1"], "--tol"),
@@ -370,8 +374,10 @@ class TestOutputShapes:
         code, out, err = run_cli(argv + flags)
         assert code == 4 and out == ""
         assert err.rstrip().endswith(f"scan mode ignores the flags {named}")
-        # a beta-mode flag left at its default changes nothing
-        assert run_cli(argv + ["--tol", "0.05", "--min-len", "2"])[1] == run_cli(argv)[1]
+        # beta-mode flags given at their default values are refused all the same
+        code, out, err = run_cli(argv + ["--tol", "0.05", "--min-len", "2"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("scan mode ignores the flags --tol, --min-len")
 
     def test_n_cells_refuses_theta(self, tmp_path):
         # split_into_cells takes no theta, so the flag moved no byte
@@ -384,7 +390,9 @@ class TestOutputShapes:
         code, out, err = run_cli(["--config", str(ini)] + argv)
         assert code == 4 and out == ""
         assert err.rstrip().endswith("--n-cells ignores the flag --theta")
-        assert run_cli(argv + ["--theta", "1.0"])[1] == run_cli(argv)[1]
+        code, out, err = run_cli(argv + ["--theta", "1.0"])  # the default value
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--n-cells ignores the flag --theta")
 
     @pytest.mark.parametrize("argv, why", [
         (["sieve", "--N", "2e4", "--unrestricted"], "--unrestricted ignores"),
@@ -410,9 +418,16 @@ class TestOutputShapes:
         code, out, err = run_cli(argv + kernel)
         assert code == 4 and out == ""
         assert err.rstrip().endswith("--psi ignores the flags --base, --slope, --cutoff")
-        # flags left at their defaults change nothing
-        assert run_cli(argv + ["--base", "2", "--slope", "10"])[1] == run_cli(argv)[1]
-        assert run_cli(["variational", "--k", "3", "--c", "1"])[0] == 0
+        # given at their default values, they are refused all the same
+        code, out, err = run_cli(argv + ["--base", "2"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--psi ignores the flags --base")
+        code, out, err = run_cli(argv + ["--base", "2", "--slope", "10"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--psi ignores the flags --base, --slope")
+        code, out, err = run_cli(["variational", "--k", "3", "--c", "1"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("variational without --psi ignores the flag --c")
 
     def test_c_is_not_an_abbreviated_config(self):
         argv = ["variational", "--k", "20", "--psi", "loglog"]
@@ -673,6 +688,22 @@ class TestConfigFile:
         assert err.rstrip().endswith("--stats ignores the flag --max-diff")
         code, out, _ = run_cli(["--config", ini, "primes", "--gap-counts"])
         assert code == 0 and "# max_diff=7" in out.splitlines()
+        # a key set to the flag's default value is given all the same
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 100\nmax-diff = 100\n")
+        code, out, err = run_cli(["--config", ini, "primes", "--stats"])
+        assert code == 4 and out == ""
+        assert err.rstrip().endswith("--stats ignores the flag --max-diff")
+
+    def test_mode_flags_are_never_abbreviated(self, tmp_path):
+        # an abbreviated mode flag would dodge the yield rule's exact match
+        # and run the section's mode
+        ini = self.write_ini(tmp_path, "[primes]\nlimit = 100\nstats = true\n")
+        code, out, err = run_cli(["--config", ini, "primes", "--gap-c"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --gap-c" in err
+        code, out, err = run_cli(["sieve", "--N", "2e4", "--del", "0.3"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --del 0.3" in err
 
     def test_config_flag_is_never_abbreviated(self, tmp_path):
         ini = self.write_ini(tmp_path, "[primes]\nlimit = 30\n")

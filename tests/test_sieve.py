@@ -223,8 +223,7 @@ class TestWeightPaths:
     def check_window(self, cfg, lo, hi, restrict):
         start, step, w = sieve.weight_array(cfg, lo, hi, restrict=restrict)
         assert len(w) > 0
-        # the table-free call factors over the support primes, the other
-        # walks the spf table; both must give the same prime lists
+        # weight accepts an spf table and must not read it
         table = sieve_range(1, hi + cfg.offsets.offsets[-1] + 1, want_spf=True)
         for j in range(len(w)):
             n = start + j * step
@@ -549,10 +548,12 @@ class TestTaoDomination:
                                         math.log(d) / log_r)
                 for c, d in enumerate(dt)
             )
-            bad.append((dt, lam - sign * val))
+            cls = sieve.divisor_class(cfg.offsets, dt)
+            if cls is not None:
+                bad.append((*cls, lam - sign * val))
         start = 1 + (cfg.b0 - 1) % cfg.W
         count = (50000 - start) // cfg.W + 1
-        placed = sieve._place(cfg, bad, start, cfg.W, count)
+        placed = sieve._place(bad, start, cfg.W, count)
         table = sieve_range(1, 60000)
         diffs = []
         for jdx in range(count):
