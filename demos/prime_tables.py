@@ -2,8 +2,7 @@
 Prime tables, windowed sieving, and gap statistics
 ==================================================
 
-Build prime tables over arbitrary windows, factor through stored smallest
-prime factors, and read off gap statistics.
+Build prime tables over arbitrary windows and read off gap statistics.
 """
 
 import numpy as np
@@ -19,10 +18,8 @@ print("97 prime?", 97 in table, "| 91 prime?", 91 in table)
 window = primes.sieve_range(10**12, 10**12 + 200)
 print("\nfirst primes past 10^12:", window.primes[:4].tolist())
 
-# want_spf stores smallest prime factors; distinct_primes walks them.
-ftable = primes.sieve_range(2, 10**4, want_spf=True)
-print("\ndistinct prime factors of 9240:", ftable.distinct_primes(9240))
-print("largest prime factor of 600851475143:", primes.largest_prime_factor(600851475143))
+# Largest prime factors come by trial division, with no table.
+print("\nlargest prime factor of 600851475143:", primes.largest_prime_factor(600851475143))
 
 # Sums of two primes: every even number >= 4 in range appears, and the
 # consecutive-value gaps never exceed 2 at this scale.

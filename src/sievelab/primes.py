@@ -1,10 +1,9 @@
 """Prime tables and prime-derived sequences.
 
 Segmented Eratosthenes sieving of the odd cells from a 3*5*7*11*13 wheel,
-with an optional smallest-prime-factor table, sums-of-two-primes scans,
-prime-pair difference counts, and normalized prime gaps.  Every other
-module consumes these tables; nothing here knows about sieve weights or
-tuples.
+sums-of-two-primes scans, prime-pair difference counts, and normalized
+prime gaps.  Every other module consumes these tables; nothing here knows
+about sieve weights or tuples.
 
 Both correlation kernels are exact and read the odd-prime mask, as 2 is
 the one even prime: sums of two primes by a smallest-prime search, pair
@@ -48,7 +47,7 @@ def _small_primes(limit: int) -> np.ndarray:
 
 @dataclass
 class PrimeTable:
-    """Primality (and optionally smallest-prime-factor) data for [lo, hi).
+    """Primality data for [lo, hi).
 
     Attributes
     ----------
@@ -58,15 +57,12 @@ class PrimeTable:
         ``is_prime[n - lo]`` for n in [lo, hi).
     primes : ndarray of int64
         Sorted primes in [lo, hi).
-    spf : ndarray of int64 or None
-        Smallest prime factor per cell; by convention spf(1) = 1, spf(0) = 0.
     """
 
     lo: int
     hi: int
     is_prime: np.ndarray
     primes: np.ndarray
-    spf: np.ndarray | None = None
 
     def __contains__(self, n: int) -> bool:
         """Set semantics: n is one of the primes in [lo, hi)."""
@@ -104,30 +100,6 @@ class PrimeTable:
         out[j0:j1] = view
         return out
 
-    def spf_at(self, n: int) -> int:
-        if self.spf is None:
-            raise ValueError("table was built without a smallest-prime-factor array")
-        if not self.lo <= n < self.hi:
-            raise IndexError(f"{n} outside table range [{self.lo}, {self.hi})")
-        return int(self.spf[n - self.lo])
-
-    def distinct_primes(self, n: int) -> list[int]:
-        """Distinct prime factors of n, via repeated spf division.
-
-        Quotients must stay inside [lo, hi), so full factorizations need a
-        table starting at or below 2; windowed tables raise IndexError once
-        a quotient drops below lo.
-        """
-        if n < 1:
-            raise ValueError("distinct_primes requires n >= 1")
-        out: list[int] = []
-        while n > 1:
-            p = self.spf_at(n)
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        return out
-
     def count(self) -> int:
         return int(self.primes.size)
 
@@ -150,8 +122,7 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     lo, hi : int
         Range bounds, 0 <= lo < hi.
     want_spf : bool
-        Also build the smallest-prime-factor array: int64, 8 bytes per
-        cell next to is_prime's 1, so the table takes 9 times the memory.
+        Accepted and ignored: perfbench's replays pass it.
 
     Returns
     -------
@@ -193,24 +164,6 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     # free the scratch: the prime list is read off is_prime a segment at a time
     odd = is_p[o0 - lo :: 2]
 
-    spf = None
-    if want_spf:
-        spf = np.zeros(n, dtype=np.int64)
-        # Descending order: the smallest prime factor is written last and wins.
-        for p in base[::-1]:
-            p = int(p)
-            start = max(2 * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                spf[start - lo :: p] = p
-        untouched = spf == 0
-        vals = lo + np.flatnonzero(untouched)
-        # Cells no base prime reached are primes (or 0/1); spf is the value.
-        spf[untouched] = np.maximum(vals, 0)
-        if lo <= 0 < hi:
-            spf[0 - lo] = 0
-        if lo <= 1 < hi:
-            spf[1 - lo] = 1
-
     primes = np.empty(at + count, dtype=np.int64)
     primes[:at] = 2
     for j0 in range(0, h, SEGMENT):
@@ -219,7 +172,7 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
         idx += o0 + 2 * j0
         primes[at : at + idx.size] = idx
         at += idx.size
-    return PrimeTable(lo=lo, hi=hi, is_prime=is_p, primes=primes, spf=spf)
+    return PrimeTable(lo=lo, hi=hi, is_prime=is_p, primes=primes)
 
 
 def goldbach_numbers(limit: int) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Divisor-sum sieve weights and their moment sums at desk scale.
 
 The weight of n is the sum of lambda_d, a mu-signed multivariate test
-function at the points log d_i / log R, over tuples of divisors
-d_i | n + h_i.  One cached `Support` per (R, W, params) holds the Moebius
-table, the divisors and the one table of lambda, with an exact tuple count
-(a refusal, ResourceBudgetError or CLI exit code 3, names it).  A tuple
-holds on exactly one residue class of n modulo lcm(d_i), or on none;
+function at the points log d_i / log R, over tuples of pairwise coprime
+divisors d_i | n + h_i.  One cached `Support` per (R, W, params) holds the
+Moebius table, the divisors and the one table of lambda, with an exact
+tuple count (a refusal, ResourceBudgetError or CLI exit code 3, names it).
+A tuple holds on exactly one residue class of n modulo lcm(d_i), or none;
 `divisor_class` solves it, and the class table of (a, m, lambda), cached
 per Support and offsets, is what the fast paths read: `weight` is a per-n
 lookup in it, and `weight_array` merges each class with its grid
@@ -182,11 +182,12 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
     """The Support of (R, W, params), built once and cached.
 
     The enumeration takes d from the divisors per coordinate, pruning on
-    the running product bound prod(d) <= R, and drops tuples whose
-    test-function value vanishes (coordinate beyond its cap, or capped
-    sum).  Before it starts, the tuples it would visit are counted (the
-    last coordinate by bisection, each (slots, bound) pair once), and a
-    count over MAX_SUPPORT_TUPLES raises ResourceBudgetError.
+    the running product bound prod(d) <= R, and stores mu(prod(d)) times
+    the test-function value, dropping the tuples where that is 0: two d_i
+    sharing a prime, a coordinate beyond its cap, or a capped sum.  Before
+    it starts, the tuples it would visit are counted (the last coordinate
+    by bisection, each (slots, bound) pair once), and a count over
+    MAX_SUPPORT_TUPLES raises ResourceBudgetError.
     """
     small = _small_primes(R).tolist()
     mu = np.ones(R + 1, dtype=np.int8)
@@ -220,22 +221,23 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
     tup = [1] * params.k
     ts = [0.0] * params.k
 
-    def rec(i, prod, sign):
+    def rec(i, prod):
         if i == params.k:
-            val = test_function_value(params, ts)
-            if val != 0.0:
-                out[tuple(tup)] = sign * val
+            # mu(prod) is the tuple's sign, and 0 when two d_i share a prime
+            lam = mu_of[prod] * test_function_value(params, ts)
+            if lam != 0.0:
+                out[tuple(tup)] = lam
             return
         for d in divisors:
             if prod * d > R:
                 break
             tup[i] = d
             ts[i] = math.log(d) / log_r if d > 1 else 0.0
-            rec(i + 1, prod * d, sign * mu_of[d])
+            rec(i + 1, prod * d)
         tup[i] = 1
         ts[i] = 0.0
 
-    rec(0, 1, 1)
+    rec(0, 1)
     return Support(mu, divisors, visits, MappingProxyType(out))
 
 
@@ -247,7 +249,8 @@ def lambda_tuples(cfg: SieveConfig) -> ItemsView[tuple[int, ...], float]:
 def lambda_coeff(cfg: SieveConfig, d) -> float:
     """Coefficient of one divisor tuple; zero outside the support.
 
-    Support: every d_i squarefree, prod(d_i) <= R, gcd(prod, W) = 1.
+    Support: prod(d_i) <= R, squarefree and coprime to W, so the d_i are
+    pairwise coprime (Maynard 2015); lambda carries the sign mu(prod(d_i)).
     """
     d = tuple(int(v) for v in d)
     if len(d) != cfg.k:
@@ -299,7 +302,7 @@ def weight(cfg: SieveConfig, n: int, table=None) -> float:
     """Sieve weight of n: the sum of the lambda whose class holds n, read
     from the class table in its order, so the value equals weight_array's
     at n bit for bit.  table is accepted and unused: perfbench's replays
-    still pass a smallest-prime-factor table."""
+    still pass a prime table, which no longer holds factor data."""
     if any(n + h < 1 for h in cfg.offsets):
         raise ParameterConditionError(f"n + h must be >= 1; n = {n}")
     total = 0.0
@@ -324,7 +327,9 @@ def naive_weight(cfg: SieveConfig, n: int) -> float:
         prod = math.prod(tup)
         if prod > cfg.R:
             continue
-        sign = math.prod(int(sup.mu[d]) for d in tup)
+        sign = int(sup.mu[prod])  # 0 when two d_i share a prime
+        if sign == 0:
+            continue
         ts = [math.log(d) / log_r for d in tup]
         total += sign * test_function_value(cfg.params, ts)
     return total
@@ -529,7 +534,7 @@ def tao_domination_check(
                               math.log(d) / log_r)
             for c, d in enumerate(dt)
         )
-        # lambda is mu(d_1)...mu(d_k) times a positive product of factors
+        # lambda is mu(d_1...d_k) times a positive product of factors
         lam_alt = math.copysign(math.prod(factors), lam)
         if lam_alt == lam:
             continue

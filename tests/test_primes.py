@@ -211,29 +211,12 @@ def test_along_rejects_zero_step_and_negative_count():
         table.along(3, 1, -1)
 
 
-def test_spf_against_trial_division():
-    table = sieve_range(0, 20_001, want_spf=True)
-    for n in range(2, 20_001):
-        smallest = next(d for d in range(2, n + 1) if n % d == 0)
-        assert table.spf_at(n) == smallest
-    assert table.spf_at(1) == 1
-    assert table.spf_at(0) == 0
-
-
-def test_spf_offset_window():
-    lo, hi = 100_000, 100_500
-    table = sieve_range(lo, hi, want_spf=True)
-    for n in range(lo, hi):
-        smallest = next(d for d in range(2, n + 1) if n % d == 0)
-        assert table.spf_at(n) == smallest
-
-
-def test_distinct_primes_walk():
-    table = sieve_range(0, 10_000, want_spf=True)
-    assert table.distinct_primes(9699 + 1) == [2, 5, 97]  # 9700 = 2^2 * 5^2 * 97
-    assert table.distinct_primes(8) == [2]
-    assert table.distinct_primes(1) == []
-    assert table.distinct_primes(9973) == [9973]
+@pytest.mark.parametrize("lo, hi", [(0, 5000), (10**12, 10**12 + 500)])
+def test_want_spf_is_ignored(lo, hi):
+    plain, asked = sieve_range(lo, hi), sieve_range(lo, hi, want_spf=True)
+    assert np.array_equal(asked.is_prime, plain.is_prime)
+    assert np.array_equal(asked.primes, plain.primes)
+    assert not hasattr(asked, "spf")
 
 
 def test_goldbach_numbers_small_cases():
@@ -483,9 +466,12 @@ def test_largest_prime_factor_values():
 
 
 def test_largest_prime_factor_against_spf_walk():
-    table = sieve_range(0, 5000, want_spf=True)
     for n in range(2, 5000, 37):
-        assert largest_prime_factor(n) == max(table.distinct_primes(n))
+        m, largest = n, 1
+        for d in range(2, n + 1):
+            while m % d == 0:
+                m, largest = m // d, d
+        assert largest_prime_factor(n) == largest
 
 
 @given(st.integers(min_value=2, max_value=10**6))

@@ -211,6 +211,30 @@ class TestSupportAndCoeffs:
         assert cfg.support.visits == 183_290
         assert len(sieve.lambda_tuples(cfg)) > 0
 
+    def test_support_tuples_are_pairwise_coprime(self):
+        # the pairs (p, p), p = 11..23, fit under R, and (11, 11) has a class
+        # (11 | 22); lambda leaves them out: prod(d_i) is squarefree (Maynard)
+        p = KernelParams(k=2, base=1.1, slope=3.0, cutoff=1.9)
+        cfg = sieve.make_config(10**7, delta=0.45, offsets=(0, 22), params=p)
+        assert (cfg.R, cfg.W) == (1412, 210)
+        enum = dict(sieve.lambda_tuples(cfg))
+        assert (11, 11) not in enum and (11, 1) in enum
+        assert all(math.gcd(*tup) == 1 for tup in enum)
+        # 2101 = 11 * 191 and 2123 = 11 * 193
+        n, log_r = 2101, math.log(cfg.R)
+        divs = [[d for d in range(1, cfg.R + 1) if (n + h) % d == 0
+                 and self.brute_mu(d, cfg.W) != 0] for h in cfg.offsets]
+        expect = sum(
+            self.brute_mu(d1 * d2, cfg.W) * sieve.test_function_value(
+                p, [math.log(d1) / log_r, math.log(d2) / log_r])
+            for d1 in divs[0] for d2 in divs[1]
+            if d1 * d2 <= cfg.R and math.gcd(d1, d2) == 1
+        )
+        assert expect == pytest.approx(-0.010262517146652272, abs=1e-15)
+        _, _, w = sieve.weight_array(cfg, n, n, restrict=False)
+        for got in (sieve.weight(cfg, n), sieve.naive_weight(cfg, n), w[0]):
+            assert got == pytest.approx(expect, abs=1e-12)
+
     def test_coeff_arity_and_positivity_checks(self):
         cfg = rich_config()
         with pytest.raises(ParameterConditionError):
@@ -223,7 +247,8 @@ class TestWeightPaths:
     def check_window(self, cfg, lo, hi, restrict):
         start, step, w = sieve.weight_array(cfg, lo, hi, restrict=restrict)
         assert len(w) > 0
-        # weight accepts an spf table and must not read it
+        # weight accepts a table, as perfbench's replays pass one, and
+        # ignores it, as sieve_range ignores want_spf
         table = sieve_range(1, hi + cfg.offsets.offsets[-1] + 1, want_spf=True)
         for j in range(len(w)):
             n = start + j * step
@@ -240,11 +265,12 @@ class TestWeightPaths:
         self.check_window(rich_config(), 5000, 5060, restrict=False)
 
     def test_three_paths_agree_k2_shared_prime(self):
-        # offsets congruent mod 11 admit the divisor pair (11, 11)
+        # offsets congruent mod 11 would admit the divisor pair (11, 11),
+        # but the d_i of a support tuple are pairwise coprime
         p = KernelParams(k=2, base=1.01, slope=2.0, cutoff=2.1)
         cfg = sieve.make_config(50000, delta=0.45, offsets=(0, 22), params=p)
         enum = dict(sieve.lambda_tuples(cfg))
-        assert (11, 11) in enum
+        assert (11, 11) not in enum and (11, 1) in enum
         self.check_window(cfg, 4000, 9000, restrict=True)
 
     def test_three_paths_agree_k1(self):
@@ -289,6 +315,7 @@ class TestWeightPaths:
         assert len(w) == 0
 
     def test_weight_accepts_spf_table(self):
+        # the keywords perfbench's replays pass; both are ignored
         cfg = rich_config()
         table = sieve_range(5000, 5300, want_spf=True)
         for n in range(5050, 5060):
