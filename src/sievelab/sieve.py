@@ -11,8 +11,10 @@ per Support and offsets, is what the fast paths read: `weight` is a per-n
 lookup in it, and `weight_array` merges each class with its grid
 (`_place`) and adds lambda along the progression.  `naive_weight`, which
 evaluates the test function over the divisors of each n + h_i, is the
-independent oracle.  The moment sums, the profile-swap domination check
-(placed on the grid the same way) and the mirrored-window scan build on it.
+independent oracle.  One grid core sums w^2 over each pair of masks of the
+forms s*n + b that are prime, read off one table; the moment sums (n + h)
+and the mirrored scan (also N - n - h, its x sums read off the pair table)
+share it, and the profile-swap domination check reads its masks likewise.
 """
 
 from __future__ import annotations
@@ -412,14 +414,14 @@ class MomentReport:
         return math.fsum(self.prime_sq_sums) - (m - 1) * self.sum_w2
 
 
-def _w2_gram(w2: np.ndarray, masks, hits=None) -> list[list[float]]:
+def _w2_gram(w2: np.ndarray, masks, hits) -> list[list[float]]:
     """g[a][b] = sum of w2 where masks a and b both hold (g[a][a]: mask a
     alone), each unordered pair summed once.  hits yields each mask's hit
-    positions in turn (default np.flatnonzero); w2 gathered there once and
-    read through the other mask holds the same elements in the same order
-    as w2[m_a & m_b], so every entry is bit-identical to that sum."""
+    positions in turn, ascending; w2 gathered there once and read through
+    the other mask holds the same elements in the same order as
+    w2[m_a & m_b], so every entry is bit-identical to that sum."""
     g = [[0.0] * len(masks) for _ in masks]
-    for a, idx in enumerate(map(np.flatnonzero, masks) if hits is None else hits):
+    for a, idx in enumerate(hits):
         w2_a = w2[idx]
         g[a][a] = float(w2_a.sum())
         for b in range(a + 1, len(masks)):
@@ -427,40 +429,49 @@ def _w2_gram(w2: np.ndarray, masks, hits=None) -> list[list[float]]:
     return g
 
 
-def _prime_positions(table, first: int, count: int, offsets):
-    """For each h in offsets, the j < count with first + j + h prime, read
-    off table.primes by bisection; one array at a time."""
-    for h in offsets:
-        a = first + h
-        i, j = np.searchsorted(table.primes, (a, a + count))
-        yield table.primes[i:j] - a
+def _prime_masks(forms, start: int, step: int, count: int):
+    """(masks, hits) on the grid n = start + j*step, j < count: masks[a][j]
+    is whether s*n + b is prime, (s, b) = forms[a], all read off one table
+    over [max(2, least value read), greatest value read].  hits yields each
+    mask's ascending j: by bisection of the table's primes for a unit step,
+    else by a scan of the mask (short on the W-strided grid)."""
+    reads = [(s * start + b, s * step) for s, b in forms]
+    last = max(count - 1, 0)
+    ends = [first + j * d for first, d in reads for j in (0, last)]
+    least = max(2, min(ends))
+    table = sieve_range(least, max(least, max(ends)) + 1)
+    masks = [table.along(first, d, count) for first, d in reads]
+
+    def hits(read, mask):
+        first, d = read
+        if abs(d) != 1:
+            return np.flatnonzero(mask)
+        low, primes = min(first, first + d * last), table.primes
+        p = primes[primes.searchsorted(low) : primes.searchsorted(low + count)]
+        return p - first if d == 1 else (first - p)[::-1]
+
+    return masks, map(hits, reads, masks)
 
 
-def _moment_segment(cfg: SieveConfig, seg_lo: int, seg_hi: int, restrict: bool):
-    """(grid points, sum of w^2, Gram of the prime masks) on one segment."""
-    start, step, w = weight_array(cfg, seg_lo, seg_hi, restrict=restrict)
-    h = cfg.offsets.offsets
-    table = sieve_range(max(0, seg_lo + h[0]), seg_hi + h[-1] + 1)
-    masks = [table.along(start + off, step, len(w)) for off in h]
-    # on the W-strided grid the masks are short: flatnonzero beats bisection
-    hits = None if restrict else _prime_positions(table, start, len(w), h)
+def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms):
+    """The grid core: (w^2, masks, Gram) on weight_array's grid over [lo, hi],
+    the masks read by _prime_masks and the Gram from _w2_gram."""
+    start, step, w = weight_array(cfg, lo, hi, restrict=restrict)
+    masks, hits = _prime_masks(forms, start, step, len(w))
     np.square(w, out=w)
-    return len(w), float(w.sum()), _w2_gram(w, masks, hits)
+    return w, masks, _w2_gram(w, masks, hits)
 
 
 def moment_sums(
-    cfg: SieveConfig,
-    lo: int,
-    hi: int,
-    restrict: bool = True,
-    threads: int | None = None,
+    cfg: SieveConfig, lo: int, hi: int, restrict: bool = True, threads: int = 1
 ) -> MomentReport:
     """Moment sums over n in [lo, hi] (n = b0 mod W when restrict).
 
-    The range splits into segments of MOMENT_SEGMENT n-values, evaluated on
-    a pool of `threads` workers (default 1); partial sums merge by
-    compensated summation in segment order, so totals do not depend on the
-    thread count.  A span over MAX_MOMENT_SPAN raises ResourceBudgetError.
+    The range splits into segments of MOMENT_SEGMENT n-values, each run
+    through the grid core on a pool of `threads` workers (below 1 raises
+    ValueError); partial sums merge by compensated summation in segment
+    order, so totals do not depend on the thread count.  A span over
+    MAX_MOMENT_SPAN raises ResourceBudgetError.
     """
     if lo < 1:
         raise ParameterConditionError(f"window start must be >= 1, got {lo}")
@@ -473,8 +484,13 @@ def moment_sums(
     _classes(cfg.support, cfg.offsets.offsets)  # filled before the workers read it
     bounds = list(range(lo, hi + 1, MOMENT_SEGMENT)) + [hi + 1]
     jobs = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=threads or 1) as ex:
-        parts = list(ex.map(lambda ab: _moment_segment(cfg, *ab, restrict), jobs))
+
+    def segment(ab):
+        w2, _, gram = _moment_segment(cfg, *ab, restrict, [(1, h) for h in cfg.offsets])
+        return len(w2), float(w2.sum()), gram
+
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        parts = list(ex.map(segment, jobs))
     n_count = sum(p[0] for p in parts)
     sum_w2 = math.fsum(p[1] for p in parts)
     pair = tuple(
@@ -504,12 +520,7 @@ class TaoCheckReport:
 
 
 def tao_domination_check(
-    cfg: SieveConfig,
-    alt_params: KernelParams,
-    i: int,
-    j: int,
-    lo: int,
-    hi: int,
+    cfg: SieveConfig, alt_params: KernelParams, i: int, j: int, lo: int, hi: int
 ) -> TaoCheckReport:
     """Compare the weight against a hybrid whose coordinate factors at
     positions i and j switch to alt_params where d > 1.
@@ -524,6 +535,8 @@ def tao_domination_check(
         raise ParameterConditionError(f"need distinct indices below {cfg.k}")
     if alt_params.k != cfg.k:
         raise ParameterConditionError("alt_params.k must match the offsets")
+    if lo < 1:
+        raise ParameterConditionError(f"window start must be >= 1, got {lo}")
     log_r = math.log(cfg.R)
     swapped = []
     for dt, lam in cfg.support.coeff.items():
@@ -542,12 +555,9 @@ def tao_domination_check(
         if cls is not None:
             swapped.append((*cls, lam - lam_alt))
 
-    lo = max(lo, 1)
-    max_h = cfg.offsets.offsets[-1]
-    table = sieve_range(2, hi + max_h + 1)
     h_i, h_j = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
     n_scanned = max(0, hi - lo + 1)
-    cand = table.along(lo + h_i, 1, n_scanned) & table.along(lo + h_j, 1, n_scanned)
+    cand = np.logical_and(*_prime_masks([(1, h_i), (1, h_j)], lo, 1, n_scanned)[0])
     # both entries must also exceed R: n > R - min(h_i, h_j)
     cand[: max(0, cfg.R - min(h_i, h_j) + 1 - lo)] = False
     checked = np.flatnonzero(cand)
@@ -601,42 +611,29 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     if N % 2 or N < 8:
         raise ParameterConditionError(f"window target must be even and >= 8, got {N}")
     union = mirror_union(cfg.offsets, N)
-    scan_params = replace(cfg.params, k=union.k)
-    scan_cfg = replace(cfg, offsets=union, params=scan_params)
+    scan_cfg = replace(cfg, offsets=union, params=replace(cfg.params, k=union.k))
     lo, hi = (N + 1) // 2, N
-    start, step, w = weight_array(scan_cfg, lo, hi, restrict=False)
-    base = list(cfg.offsets)
-    # largest value read: n + h at n = N, or N - n - h at n = lo
-    table = sieve_range(2, max(N + base[-1], N - lo - base[0]) + 1)
-    k = cfg.k
-    # n = start + j: the base block reads n + h, the mirrored block N - n - h
-    hit_masks = [table.along(start + h, 1, len(w)) for h in base]
-    hit_masks += [table.along(N - start - h, -1, len(w)) for h in base]
-    # x(n) <= 2k hits, so x^2 fits the smallest type holding (2k)^2
-    x = np.zeros(len(w), dtype=np.min_scalar_type(4 * k * k))
-    for m in hit_masks:
-        x += m
-    w2 = np.square(w, out=w)
+    base, k = cfg.offsets.offsets, cfg.k
+    # the base block reads n + h, the mirrored block N - n - h
+    forms = [(1, h) for h in base] + [(-1, N - h) for h in base]
+    w2, masks, gram = _moment_segment(scan_cfg, lo, hi, False, forms)
     sum_w2 = float(w2.sum())
-    sum_active = float(w2[x > 0].sum())
-    sum_xw2 = float((x * w2).sum())
-    sum_x2w2 = float((np.square(x, out=x) * w2).sum())
-    gram = _w2_gram(w2, hit_masks)
-    same = mixed = 0.0
+    sum_active = float(w2[functools.reduce(np.logical_or, masks)].sum())
+    # x(n) hits: x w^2 sums to the Gram's trace, x^2 adds pairs of distinct hits
+    sum_xw2 = math.fsum(gram[a][a] for a in range(2 * k))
+    pairs = [0.0, 0.0]  # ordered pairs inside one block, across the blocks
     for a, b in itertools.permutations(range(2 * k), 2):
-        if (a < k) == (b < k):
-            same += gram[a][b]
-        else:
-            mixed += gram[a][b]
+        pairs[(a < k) != (b < k)] += gram[a][b]
+    same, mixed = pairs
+    sum_x2w2 = sum_xw2 + same + mixed
     cs = sum_xw2**2 <= sum_active * sum_x2w2 * (1 + 1e-12) + 1e-300
-    witness = None
-    witness_count = 0
+    witness, witness_count = None, 0
     for idx_i, idx_j in itertools.product(range(k), repeat=2):
-        both = hit_masks[idx_i] & hit_masks[k + idx_j]
+        both = masks[idx_i] & masks[k + idx_j]
         c = int(both.sum())
         witness_count += c
         if c and witness is None:
-            witness = (start + int(np.argmax(both)), base[idx_i], base[idx_j])
+            witness = (lo + int(np.argmax(both)), base[idx_i], base[idx_j])
     return GoldbachScanReport(
         N=N, n_lo=lo, n_hi=hi, union=union, sum_w2=sum_w2,
         sum_w2_active=sum_active, sum_xw2=sum_xw2, sum_x2w2=sum_x2w2,

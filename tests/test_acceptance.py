@@ -4,8 +4,9 @@ Twelve numbered checks, one per core guarantee, each printing a single
 PASS/FAIL line (straight to the real stdout so the verdicts survive pytest
 capture).  They are intentionally heavier than the unit suites: full-range
 scans, frozen reference values, and independent brute-force oracles.
-Check 01 has one silent companion that holds two fast paths to bit
-equality on the same configs.
+Check 01 has two silent companions: one holds two fast paths to bit
+equality on the same configs, the other holds the grid path to the
+definition where two divisors may share a prime.
 """
 
 import contextlib
@@ -113,6 +114,19 @@ def test_01_weight_is_the_grid_entry_bit_for_bit():
         assert (start, step, len(w)) == (1, 1, 1000)
         fast = [sieve.weight(cfg, n) for n in range(1, 1001)]
         assert np.array_equal(np.array(fast), w)
+
+
+def test_01_weight_keeps_only_pairwise_coprime_divisors():
+    # test 01's offsets differ by products of primes <= 7, so no tuple whose
+    # d_i share a prime >= 11 has a class there; with offsets (0, 22) the
+    # tuples (11, 11), ..., (23, 23) do, and at n = 2101 one of them holds
+    params = KernelParams(k=2, base=1.1, slope=3.0, cutoff=1.9)
+    cfg = sieve.make_config(10**7, delta=0.45, offsets=(0, 22), params=params)
+    assert cfg.R == 1412
+    start, step, w = sieve.weight_array(cfg, 1, 3000, restrict=False)
+    assert (start, step, len(w)) == (1, 1, 3000)
+    slow = np.array([sieve.naive_weight(cfg, n) for n in range(1, 3001)])
+    assert np.max(np.abs(w - slow)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

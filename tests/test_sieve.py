@@ -4,6 +4,7 @@ check, and the mirrored-window scan."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -417,30 +418,63 @@ class TestBlockedKernels:
         ((0, 2, 6, 8), 10**5, 3 * (1 << 17) + 1),
     ])
     def test_prime_positions_and_gram(self, offsets, lo, size):
+        # unit-step reads find their hits by bisection of the table's primes
         cfg = rich_config(N=10**6, delta=0.3, offsets=offsets)
         hi = lo + size - 1
+        forms = [(1, h) for h in offsets]
         table = sieve_range(max(0, lo + offsets[0]), hi + offsets[-1] + 1)
         masks = [table.along(lo + h, 1, size) for h in offsets]
-        hits = list(sieve._prime_positions(table, lo, size, offsets))
-        for idx, mask in zip(hits, masks):
+        core_masks, hits = sieve._prime_masks(forms, lo, 1, size)
+        hits = list(hits)
+        for idx, mask, core_mask in zip(hits, masks, core_masks, strict=True):
+            assert np.array_equal(core_mask, mask)
             assert np.array_equal(idx, np.flatnonzero(mask))
         _, _, w = whole_array_weights(cfg, lo, hi, restrict=False)
         w2 = w * w
         ref = mask_and_gram(w2, masks)
         assert sieve._w2_gram(w2, masks, iter(hits)) == ref
-        assert sieve._w2_gram(w2, masks) == ref
-        # the segment kernel end to end, against both oracles
-        count, sum_w2, gram = sieve._moment_segment(cfg, lo, hi, restrict=False)
-        assert (count, sum_w2, gram) == (size, float(w2.sum()), ref)
+        assert sieve._w2_gram(w2, masks, map(np.flatnonzero, masks)) == ref
+        # the grid core end to end, against both oracles
+        core_w2, core_masks, gram = sieve._moment_segment(cfg, lo, hi, False, forms)
+        assert np.array_equal(core_w2, w2) and gram == ref
+        assert all(map(np.array_equal, core_masks, masks))
 
     @pytest.mark.parametrize("lo, hi", [(1, 3000), (1, 200000)])
     def test_restricted_segment_equals_oracles(self, lo, hi):
+        # on the W-strided grid the hits come from a scan of each mask
         cfg = rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4))
         start, step, w = whole_array_weights(cfg, lo, hi)
         table = sieve_range(0, hi + 5)
         w2 = w * w
-        ref = mask_and_gram(w2, [table.along(start + h, step, len(w)) for h in (-2, 0, 4)])
-        assert sieve._moment_segment(cfg, lo, hi, restrict=True) == (len(w), float(w2.sum()), ref)
+        masks = [table.along(start + h, step, len(w)) for h in (-2, 0, 4)]
+        forms = [(1, h) for h in (-2, 0, 4)]
+        core_w2, core_masks, gram = sieve._moment_segment(cfg, lo, hi, True, forms)
+        assert np.array_equal(core_w2, w2) and gram == mask_and_gram(w2, masks)
+        assert all(map(np.array_equal, core_masks, masks))
+
+    @pytest.mark.parametrize("forms, start, count", [
+        ([(1, 0), (-1, 100), (-1, 3000)], 1, 3000),  # values below 2 read False
+        ([(-1, 10**6 + 2), (1, 6), (-1, 10**6 - 4)], 400000, 200001),
+        ([(1, 2), (-1, 50)], 7, 0),  # an empty grid
+    ])
+    def test_mirrored_reads_find_hits_by_bisection(self, monkeypatch, forms, start, count):
+        # a descending read (s = -1) yields its hits in ascending j, and the
+        # one table spans [max(2, least value read), greatest value read]
+        values = [s * (start + j) + b for s, b in forms for j in (0, max(count - 1, 0))]
+        table = sieve_range(0, max(values) + 1)
+        calls = []
+
+        def spy(lo, hi, **kw):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi, **kw)
+
+        monkeypatch.setattr(sieve, "sieve_range", spy)
+        masks, hits = sieve._prime_masks(forms, start, 1, count)
+        assert calls == [(max(2, min(values)), max(values) + 1)]
+        for (s, b), mask, idx in zip(forms, masks, hits, strict=True):
+            ref = table.along(s * start + b, s, count)
+            assert np.array_equal(mask, ref)
+            assert np.array_equal(idx, np.flatnonzero(ref))
 
 
 class TestMomentSums:
@@ -497,11 +531,16 @@ class TestMomentSums:
     def test_thread_count_never_changes_totals(self, monkeypatch):
         cfg = rich_config()
         monkeypatch.setattr(sieve, "MOMENT_SEGMENT", 1 << 13)
-        reps = [sieve.moment_sums(cfg, 1, 50000, threads=t) for t in (None, 2, 4)]
+        reps = [sieve.moment_sums(cfg, 1, 50000, threads=t) for t in (1, 2, 4)]
         for other in reps[1:]:
             assert other.sum_w2 == reps[0].sum_w2
             assert other.prime_sq_sums == reps[0].prime_sq_sums
             assert other.pair_sq_sums == reps[0].pair_sq_sums
+
+    def test_thread_count_below_one_is_the_pools_error(self):
+        # the CLI refuses --threads 0 itself; a library caller gets the pool's error
+        with pytest.raises(ValueError, match="max_workers"):
+            sieve.moment_sums(rich_config(), 1, 1000, threads=0)
 
     def test_unrestricted_counts_every_n(self):
         cfg = rich_config()
@@ -626,6 +665,29 @@ class TestTaoDomination:
         rep = sieve.tao_domination_check(cfg, alt, 1, 2, 11, 100)
         assert rep.n_checked > 0 and rep.passed
 
+    @pytest.mark.parametrize("lo", [0, -5])
+    def test_refuses_a_window_start_below_one(self, lo):
+        # the start is refused as moment_sums refuses it, not clamped to 1
+        cfg = rich_config()
+        alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
+        with pytest.raises(ParameterConditionError, match=f"window start must be >= 1, got {lo}$"):
+            sieve.tao_domination_check(cfg, alt, 0, 2, lo, 100)
+
+    def test_table_starts_at_the_window(self, monkeypatch):
+        # both masks are read off one table over the values n + h_i, n + h_j
+        cfg = rich_config()
+        alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
+        calls = []
+
+        def spy(lo, hi, **kw):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi, **kw)
+
+        monkeypatch.setattr(sieve, "sieve_range", spy)
+        rep = sieve.tao_domination_check(cfg, alt, 0, 2, 10**6, 10**6 + 10**4)
+        assert calls == [(10**6, 10**6 + 10**4 + 7)]
+        assert rep.n_scanned == 10**4 + 1 and rep.n_checked > 0 and rep.passed
+
     def test_checked_set_requires_both_primes_above_r(self):
         cfg = rich_config()
         alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
@@ -715,6 +777,47 @@ class TestGoldbachScan:
                 sieve, "sieve_range", lambda lo, hi, **kw: sieve_range(2, 2 * N + 2)
             )
             assert sieve.goldbach_window_scan(cfg, N=N) == rep
+
+    def test_sums_equal_the_hit_count_oracle(self):
+        # x(n), the number of prime forms at n, built here from along's masks:
+        # the scan's sums come from the grid core's pair table instead
+        p = KernelParams(k=3, base=1.05, slope=3.0, cutoff=4.0)
+        cfg = sieve.make_config(20000, delta=0.45, offsets=(0, 2, 6), params=p)
+        rep = sieve.goldbach_window_scan(cfg)
+        # the scan's weight lives on the union, which need not be admissible
+        union = rep.union
+        scan_cfg = replace(cfg, offsets=union, params=replace(cfg.params, k=union.k))
+        assert scan_cfg.R > 44
+        lo, N, k = rep.n_lo, rep.N, cfg.k
+        start, step, w = sieve.weight_array(scan_cfg, lo, N, restrict=False)
+        assert (start, step) == (lo, 1) and np.ptp(w) > 0  # w is not constant
+        table = sieve_range(2, 2 * N + 2)
+        masks = [table.along(lo + h, 1, len(w)) for h in cfg.offsets]
+        masks += [table.along(N - lo - h, -1, len(w)) for h in cfg.offsets]
+        x = np.sum(masks, axis=0)
+        w2 = w * w
+        same = mixed = 0.0
+        for a, b in itertools.permutations(range(2 * k), 2):
+            both = float(w2[masks[a] & masks[b]].sum())
+            if (a < k) == (b < k):
+                same += both
+            else:
+                mixed += both
+        expect = {
+            "sum_w2": w2.sum(),
+            "sum_w2_active": w2[x > 0].sum(),
+            "sum_xw2": (x * w2).sum(),
+            "sum_x2w2": (x * x * w2).sum(),
+            "pair_sum_same": same,
+            "pair_sum_mixed": mixed,
+            "witness_count": sum(
+                int((masks[i] & masks[k + j]).sum())
+                for i, j in itertools.product(range(k), repeat=2)
+            ),
+        }
+        for name, value in expect.items():
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-12), name
+        assert rep.witness_count > 0 and same > 0 and mixed > 0
 
     def test_cauchy_schwarz_and_hit_accounting(self):
         _, rep = self.scan()
