@@ -6,6 +6,11 @@ turns them into plain values, for the dict view (report_dict, bound as each
 report class's as_dict) and for stable_json.  Reruns with identical inputs
 must produce byte-identical files, so floats are canonicalized through
 %.12g everywhere and JSON keys are always sorted.
+
+CSV columns are written a block of rows at a time into one byte matrix:
+numpy integer and bool columns by digit arithmetic on the array, float
+columns by %.12g, anything else by csv_cell, with the same bytes as
+csv_cell applied cell by cell.
 """
 
 from __future__ import annotations
@@ -86,45 +91,92 @@ def csv_cell(v) -> str:
     return str(v)
 
 
-# %-format per numpy dtype kind; %d writes bools as 1/0 like csv_cell
-_COLUMN_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "f": "%.12g"}
-# Rows per %-operation; bounds the Python values alive at once.
+# Rows per block; bounds the block's byte matrix and keep mask (rows by the
+# bytes of the widest row) and the Python values of its float and text cells.
 CSV_BLOCK_ROWS = 1 << 16
+
+
+def _digit_cells(block: np.ndarray):
+    """An int, uint or bool block as its decimal text: a byte matrix with a
+    '-' column, kept at the negatives, then one column per digit of the
+    largest magnitude, leading zeros not kept."""
+    neg = block < 0
+    mag = block.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # mod 2**64: the int64 minimum too
+    top = int(mag.max(initial=0))
+    mag = mag.astype(np.min_scalar_type(top))  # narrow words divide faster
+    width = len(str(top))
+    # digit-major, so each pass writes one contiguous row
+    text = np.empty((width + 1, block.size), np.uint8)
+    keep = np.empty(text.shape, bool)
+    text[0], keep[0] = ord("-"), neg
+    for k in range(width, 0, -1):
+        # mag is now value // 10**(width - k), and digit k is kept when
+        # that quotient is not 0 (the last digit always is)
+        np.greater(mag, 0, out=keep[k])
+        np.divmod(mag, 10, out=(mag, text[k]))
+    keep[width] = True
+    text[1:] += ord("0")
+    return text.T, keep.T
+
+
+def _float_cells(block: np.ndarray):
+    """A float block as %.12g text: one left-justified %-operation per
+    block.  %.12g writes at most 19 characters ("-1.23456789012e-308")
+    and never a space, so the padding is the spaces."""
+    text = ("%-19.12g" * block.size) % tuple(block.tolist())
+    cells = np.frombuffer(text.encode(), np.uint8).reshape(block.size, 19)
+    return cells, cells != ord(" ")
+
+
+def _text_cells(cells: list):
+    """Strings as UTF-8 bytes, each row padded to the longest; the keep
+    mask follows each cell's length, so a NUL or any other byte in a cell
+    is kept."""
+    data = [c.encode() for c in cells]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    text = np.zeros(keep.shape, np.uint8)
+    text[keep] = np.frombuffer(b"".join(data), np.uint8)
+    return text, keep
+
+
+def _block_cells(block):
+    """One column's block as a byte matrix and keep mask, one row per
+    value: the kept bytes of a row, in order, are that value's csv_cell."""
+    kind = block.dtype.kind if isinstance(block, np.ndarray) else None
+    if kind in ("i", "u", "b"):
+        return _digit_cells(block)
+    if kind == "f":
+        return _float_cells(block)
+    return _text_cells([csv_cell(v) for v in block])
 
 
 def csv_lines(header: list, columns) -> str:
     """CSV text: the header row, then one row per index of the columns.
 
-    A numpy int, uint, bool or float column is converted to Python values
-    by .tolist() and written by %d or %.12g; any other column goes through
-    csv_cell value by value, so a Python list mixing ints and floats keeps
-    each value's own form.  One %-operation on the row format, repeated,
-    writes CSV_BLOCK_ROWS rows at a time.  The bytes equal those of
-    csv_cell applied cell by cell.
+    Each block of CSV_BLOCK_ROWS rows becomes one byte matrix and keep
+    mask, each column's cells then a ',' or newline column, and the block's
+    text is the kept bytes in row order.  A numpy int, uint or bool column
+    is written by digit arithmetic on the array, a float column by one
+    %.12g operation per block; any other column goes through csv_cell
+    value by value, so a Python list mixing ints and floats keeps each
+    value's own form.  The bytes equal those of csv_cell applied cell by
+    cell.
     """
-    formats, values = [], []
-    for col in columns:
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else None
-        if kind in _COLUMN_FORMATS:
-            formats.append(_COLUMN_FORMATS[kind])
-            values.append(col)
-        else:
-            formats.append("%s")
-            values.append([csv_cell(v) for v in col])
-    lengths = {len(v) for v in values}
+    lengths = {len(col) for col in columns}
     if len(lengths) > 1:
-        raise ValueError(f"CSV columns differ in length: {[len(v) for v in values]}")
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     n_rows = lengths.pop() if lengths else 0
-    row = ",".join(formats) + "\n"
     out = [",".join(str(h) for h in header) + "\n"]
     for lo in range(0, n_rows, CSV_BLOCK_ROWS):
         m = min(CSV_BLOCK_ROWS, n_rows - lo)
-        # the block's cells interleaved row by row, for the row format m times
-        cells = [None] * (m * len(values))
-        for j, col in enumerate(values):
-            block = col[lo : lo + m]
-            cells[j :: len(values)] = (
-                block.tolist() if isinstance(block, np.ndarray) else block
-            )
-        out.append((row * m) % tuple(cells))
+        texts, keeps = [], []
+        for j, col in enumerate(columns):
+            text, keep = _block_cells(col[lo : lo + m])
+            end = "\n" if j == len(columns) - 1 else ","
+            texts += [text, np.full((m, 1), ord(end), np.uint8)]
+            keeps += [keep, np.ones((m, 1), bool)]
+        text, keep = np.concatenate(texts, axis=1), np.concatenate(keeps, axis=1)
+        out.append(text[keep].tobytes().decode())
     return "".join(out)

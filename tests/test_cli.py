@@ -498,6 +498,12 @@ PINNED_STDOUT = {
         "317387432b8073796f2026516f758111998f1b45665e2dd20ad45d54ea679a0f",
     "gaps --tuple 0,2,6,8 --n-cells 4 --lo 3 --hi 2000 --min-singletons 4 --modulus 6 --residue 5":
         "ef46966d80b1da1e1100526751b97f134d9759c013c1e6c8959c1a44bb44a492",
+    # bodies of several CSV_BLOCK_ROWS blocks: 175,998 lines in three blocks,
+    # and 78,501 lines in two with a float column
+    "primes --limit 3e5 --goldbach-gaps":
+        "db0e6ca544e6a86611b9f42b1e81b73ed8b24263a6debfdf506805ce65ef912f",
+    "primes --limit 1e6 --normalized-gaps":
+        "9b4de9c14c54148c828b7791ba528a6a40f91f3e70b5ce46066e3cf21b4c3cba",
 }
 
 

@@ -284,18 +284,23 @@ def column(n):
             lambda v: np.array(v, dtype=dtype)
         )
 
+    # magnitudes and signs mixed in one column, so cell widths vary in a block
+    mixed = st.one_of(
+        st.integers(-9, 9), st.integers(-(10**6), 10**6), st.integers(-(2**63), 2**63 - 1)
+    )
     return st.one_of(
         *(ints(d) for d in (np.int64, np.int32, np.uint8, np.uint64)),
+        values(mixed).map(lambda v: np.array(v, dtype=np.int64)),
         values(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
         values(floats).map(lambda v: np.array(v, dtype=np.float64)),
         # arrays of other kinds go through csv_cell like Python lists
-        values(st.text(alphabet="abc", max_size=3)).map(
+        values(st.text(alphabet="abc\0,é", max_size=3)).map(
             lambda v: np.array(v, dtype=str)
         ),
         values(st.integers(2**63, 2**80)).map(lambda v: np.array(v, dtype=object)),
         # Python lists: ints and floats mixed keep each value's own form
         values(st.one_of(st.integers(-(2**70), 2**70), floats)),
-        values(st.text(alphabet="abc xyz-_.%", max_size=6)),
+        values(st.text(alphabet="abc xyz-_.%\0,é", max_size=6)),
         values(st.integers(2**63, 2**80)),
         values(st.booleans()),
     )
@@ -339,6 +344,31 @@ def test_array_extremes_match_oracle(dtype):
         with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
             values = np.array(SPECIAL_FLOATS, dtype=dtype)
     check_against_oracle([values, np.arange(values.size)])
+
+
+def test_int_and_bool_columns_never_reach_csv_cell(monkeypatch):
+    # no per-cell fallback: digit arithmetic writes every value of these
+    # columns, whose widths vary from 1 digit to 20 inside each block
+    n = 10**5
+    rng = np.random.default_rng(2)
+    shifts = rng.integers(0, 64, size=n)
+    columns = [
+        rng.integers(-(2**63), 2**63, size=n, dtype=np.int64) >> shifts,
+        rng.integers(0, 2**64, size=n, dtype=np.uint64) >> shifts.astype(np.uint64),
+        rng.integers(0, 2, size=n).astype(bool),
+    ]
+    header = ["i", "u", "b"]
+    want = rowwise_csv_lines(header, zip(*columns))
+    seen = []
+    cell = reportio.csv_cell
+
+    def spy(v):
+        seen.append(v)
+        return cell(v)
+
+    monkeypatch.setattr(reportio, "csv_cell", spy)
+    assert csv_lines(header, columns) == want
+    assert seen == []
 
 
 def test_float_specials_written_by_fmt12():
