@@ -28,6 +28,7 @@ GRADED_NODES = 32
 MC_BATCHES = 20  # simplex_mc_integrals batch means behind each stderr
 PAIR_GRID = 257  # _pair_mass_grid nodes
 FREQ_MAX = 200.0  # fourier_identity_sides truncates to |xi| <= FREQ_MAX
+FREQ_ROWS = 16  # frequency-matrix rows built per pass by _identity_sides_on
 
 
 @dataclass(frozen=True)
@@ -558,8 +559,11 @@ FOURIER_TEST_FUNCTIONS = {
 def _identity_sides_on(n_freq: int) -> Callable:
     """(f, f_prime) -> both sides of the identity on the n_freq-node grid.
 
-    The phase matrix and the kernel depend only on the grid, so they are
-    built once here and shared by every function passed to the result.
+    The phase matrix depends only on the grid, so it is built once here and
+    shared by every function passed to the result.  Each call then holds one
+    n_freq x n_freq complex matrix, (1+i xi)(1+i xi') hat hat' / (2+i xi+i xi'),
+    filled FREQ_ROWS rows at a time and summed whole: 25 MB at the check's
+    1250 frequencies, 92 MB at its 2400 clamp.  No kernel matrix is kept.
     """
     nodes, weights = _gauss_legendre(512)
     ts = 0.5 * (nodes + 1.0)  # [0, 1]
@@ -567,9 +571,11 @@ def _identity_sides_on(n_freq: int) -> Callable:
     xi_nodes, xi_w = _gauss_legendre(n_freq)
     xis = FREQ_MAX * xi_nodes
     xiw = FREQ_MAX * xi_w
-    phase = np.exp(1j * np.outer(xis, ts))
+    blocks = [slice(r, r + FREQ_ROWS) for r in range(0, n_freq, FREQ_ROWS)]
+    phase = np.empty((n_freq, ts.size), dtype=complex)
+    for b in blocks:
+        np.exp(1j * np.outer(xis[b], ts), out=phase[b])
     a = 1.0 + 1j * xis
-    kernel = np.add.outer(a, a)  # 2 + i xi + i xi'
     half, half_w = _gauss_legendre(256)
     t = 0.25 * (half + 1.0)  # [0, 0.5], then shifted onto [0.5, 1]
 
@@ -577,9 +583,11 @@ def _identity_sides_on(n_freq: int) -> Callable:
         fv = np.asarray(f(ts), dtype=float)
         # hat(xi) = (1/2pi) * integral e^t f(t) e^(i t xi) dt
         hat = phase @ (np.exp(ts) * fv * tw) / (2.0 * np.pi)
-        wh = xiw * hat
-        lhs_mat = np.outer(a * wh, a * wh) / kernel
-        lhs = float(lhs_mat.sum().real)
+        u = a * (xiw * hat)
+        m = np.empty((n_freq, n_freq), dtype=complex)
+        for b in blocks:
+            np.divide(np.multiply.outer(u[b], u), np.add.outer(a[b], a), out=m[b])
+        lhs = float(m.sum().real)  # summed whole: per-block sums move the last bits
         fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
         rhs = math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
         return lhs, rhs
@@ -636,7 +644,9 @@ def fourier_kernel_check(
     decides the verdict: at 3200 |lhs - rhs| reaches 2.8e-3 against the
     default 1e-4 tolerance, at 6400 at most 9.2e-7.  The evaluation is
     deterministic quadrature, so the seed only tags the report for
-    provenance.
+    provenance.  Each function's left side holds one n_freq x n_freq complex
+    matrix and no kernel matrix: 25 MB at the default 1250 frequencies,
+    92 MB at the 2400 clamp.
     """
     if n_samples < 1:
         raise ParameterConditionError("n_samples must be positive")

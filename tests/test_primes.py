@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ def test_goldbach_gaps_examples():
     assert single.values.tolist() == [4] and single.gaps.size == 0
     # every even in [4, 100] is a sum of two primes, so no gap exceeds 2
     assert goldbach_gaps(100).max_gap <= 2
+
+
+def test_goldbach_gap_report_holds_only_values():
+    # gaps is read from values, so the report keeps one array alive
+    goldbach_gaps(100)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = goldbach_gaps(10**6)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= rep.values.nbytes + 512 * 1024
+    assert np.array_equal(rep.gaps, np.diff(rep.values))
+    assert rep.max_gap == int(rep.gaps.max()) == 2
 
 
 def test_gap_counts_examples_and_brute_force():

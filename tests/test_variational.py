@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sievelab import variational
 from sievelab.errors import ParameterConditionError
 from sievelab.variational import (
     FOURIER_TEST_FUNCTIONS,
+    FREQ_MAX,
     KernelParams,
     _gauss_legendre,
+    _identity_sides_on,
     _pair_mass_grid,
     closed_forms,
     constrained_minimizer_ratio,
@@ -442,7 +446,51 @@ class TestProjectionExact:
             projection_ratio_exact(p)
 
 
+def full_matrix_sides(f, f_prime, n_freq):
+    """Both identity sides by the whole-matrix formula: the phase matrix,
+    the kernel 2 + i xi + i xi' and the outer product each built at once,
+    and the quotient summed as one array."""
+    nodes, weights = _gauss_legendre(512)
+    ts, tw = 0.5 * (nodes + 1.0), 0.5 * weights
+    xi_nodes, xi_w = _gauss_legendre(n_freq)
+    xis, xiw = FREQ_MAX * xi_nodes, FREQ_MAX * xi_w
+    phase = np.exp(1j * np.outer(xis, ts))
+    a = 1.0 + 1j * xis
+    kernel = np.add.outer(a, a)
+    hat = phase @ (np.exp(ts) * np.asarray(f(ts), dtype=float) * tw) / (2.0 * np.pi)
+    wh = xiw * hat
+    lhs = float((np.outer(a * wh, a * wh) / kernel).sum().real)
+    half, half_w = _gauss_legendre(256)
+    t = 0.25 * (half + 1.0)
+    fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
+    return lhs, math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
+
+
 class TestFourierCheck:
+    # the last block is short at 7 rows for 400 and 1250, at 16 for 1001
+    @pytest.mark.parametrize("n_freq", [400, 1001, 1250])
+    @pytest.mark.parametrize("rows", [1, 7, 16, 4096])
+    def test_row_blocks_match_full_matrix_bit_for_bit(self, monkeypatch, n_freq, rows):
+        # the sum runs over the whole matrix, so no block size moves a bit
+        monkeypatch.setattr(variational, "FREQ_ROWS", rows)
+        sides = _identity_sides_on(n_freq)
+        for f, fp in FOURIER_TEST_FUNCTIONS.values():
+            assert sides(f, fp) == full_matrix_sides(f, fp, n_freq)
+
+    def test_sides_hold_one_frequency_matrix(self):
+        # 1250 frequencies: one 25.0 MB quotient matrix and the 10.2 MB
+        # phase matrix; the whole-matrix formula peaks near 61 MB
+        _identity_sides_on(1250)  # the Gauss-Legendre tables are cached
+        tracemalloc.start()
+        try:
+            sides = _identity_sides_on(1250)
+            for f, fp in FOURIER_TEST_FUNCTIONS.values():
+                sides(f, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_three_functions_pass(self):
         rep = fourier_kernel_check(10**4, seed=0)
         assert rep.all_passed
