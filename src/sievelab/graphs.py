@@ -275,7 +275,7 @@ def empirical_polignac_density(
     exceptions = 2 * np.flatnonzero(counts[2::2] < threshold) + 2
     # geometric grid of cutoffs, always ending at max_diff
     raw = np.geomspace(2, max_diff, DENSITY_GRID)
-    grid = sorted({int(round(v / 2)) * 2 for v in raw} | {max_diff} - {0})
+    grid = sorted({int(round(v / 2)) * 2 for v in raw} | {max_diff})
     cumulative = np.searchsorted(exceptions, grid, side="right")
     curves = {
         f"{kappa:.1f}": tuple(float(M) ** kappa for M in grid)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,22 +48,32 @@ def _small_primes(limit: int) -> np.ndarray:
 
 @dataclass
 class PrimeTable:
-    """Primality data for [lo, hi).
+    """Primality data for [lo, hi), hi = lo + is_prime.size.
 
-    Attributes
-    ----------
-    lo, hi : int
-        Half-open range covered by the table.
-    is_prime : ndarray of bool
-        ``is_prime[n - lo]`` for n in [lo, hi).
-    primes : ndarray of int64
-        Sorted primes in [lo, hi).
+    is_prime[n - lo] says whether n is prime; no cell below 2 and no even
+    cell but 2 is set.  The mask is the table: primes, the sorted list, is
+    read off it on first use and kept, so code that reads only the mask
+    never lists.
     """
 
     lo: int
-    hi: int
     is_prime: np.ndarray
-    primes: np.ndarray
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.is_prime.size
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """Sorted int64 primes in [lo, hi): the odd cells, 2 first when set."""
+        o0 = self.lo | 1
+        idx = np.flatnonzero(self.is_prime[o0 - self.lo :: 2])
+        at = int(2 in self)
+        out = np.empty(at + idx.size, dtype=np.int64) if at else idx
+        out[:at] = 2
+        np.multiply(idx, 2, out=out[at:])
+        out[at:] += o0
+        return out
 
     def __contains__(self, n: int) -> bool:
         """Set semantics: n is one of the primes in [lo, hi)."""
@@ -101,7 +112,7 @@ class PrimeTable:
         return out
 
     def count(self) -> int:
-        return int(self.primes.size)
+        return int(np.count_nonzero(self.is_prime))
 
 
 def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
@@ -110,8 +121,8 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     Odd cells are sieved in a scratch array, half the window: it starts
     from the wheel (15015 odd cells a period), each base prime p > 13
     crosses off its odd multiples from p*p, SEGMENT odd cells at a time,
-    and one strided assignment writes it into is_prime.  The scratch is
-    freed before the primes are listed off is_prime, 2 first.
+    and one strided assignment writes it into is_prime (2 is set apart).
+    No prime list is built: PrimeTable.primes reads one off the mask.
 
     The allocated cells (the window length and the sqrt(hi) base-prime
     sieve both count) may not exceed DEFAULT_SIEVE_BUDGET; more raises
@@ -158,21 +169,9 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
             if i < j1:
                 odd[i:j1:p] = False
     is_p[o0 - lo :: 2] = odd
-    at, count = int(lo <= 2 < hi), np.count_nonzero(odd)
-    if at:
+    if lo <= 2 < hi:
         is_p[2 - lo] = True
-    # free the scratch: the prime list is read off is_prime a segment at a time
-    odd = is_p[o0 - lo :: 2]
-
-    primes = np.empty(at + count, dtype=np.int64)
-    primes[:at] = 2
-    for j0 in range(0, h, SEGMENT):
-        idx = np.nonzero(odd[j0 : j0 + SEGMENT])[0]
-        idx *= 2
-        idx += o0 + 2 * j0
-        primes[at : at + idx.size] = idx
-        at += idx.size
-    return PrimeTable(lo=lo, hi=hi, is_prime=is_p, primes=primes)
+    return PrimeTable(lo=lo, is_prime=is_p)
 
 
 def goldbach_numbers(limit: int) -> np.ndarray:

@@ -526,33 +526,27 @@ def _bump_prime(t):
     return _bump(t) * np.where(u > 0, (1.0 - 2.0 * t) / safe**2, 0.0)
 
 
-def _poly_bump(t):
-    t = np.asarray(t, dtype=float)
-    return (1.0 - t) ** 2 * _bump(t)
+def _times_bump(g, g_prime):
+    """(g*bump, its derivative g'*bump + g*bump') for g, g' functions of t."""
 
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return g(t) * _bump(t)
 
-def _poly_bump_prime(t):
-    t = np.asarray(t, dtype=float)
-    return -2.0 * (1.0 - t) * _bump(t) + (1.0 - t) ** 2 * _bump_prime(t)
+    def f_prime(t):
+        t = np.asarray(t, dtype=float)
+        return g_prime(t) * _bump(t) + g(t) * _bump_prime(t)
 
-
-def _sine_bump(t):
-    t = np.asarray(t, dtype=float)
-    return np.sin(2 * np.pi * t) * _bump(t)
-
-
-def _sine_bump_prime(t):
-    t = np.asarray(t, dtype=float)
-    return 2 * np.pi * np.cos(2 * np.pi * t) * _bump(t) + np.sin(
-        2 * np.pi * t
-    ) * _bump_prime(t)
+    return f, f_prime
 
 
 #: name -> (function on [0, 1], its derivative); all smooth with flat ends
 FOURIER_TEST_FUNCTIONS = {
     "bump": (_bump, _bump_prime),
-    "poly_bump": (_poly_bump, _poly_bump_prime),
-    "sine_bump": (_sine_bump, _sine_bump_prime),
+    "poly_bump": _times_bump(lambda t: (1.0 - t) ** 2, lambda t: -2.0 * (1.0 - t)),
+    "sine_bump": _times_bump(
+        lambda t: np.sin(2 * np.pi * t), lambda t: 2 * np.pi * np.cos(2 * np.pi * t)
+    ),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import fftconvolve
 
-from sievelab import cli, primes
+from sievelab import cells, cli, primes, sieve
 from sievelab.errors import InvariantViolationError, ResourceBudgetError
 from sievelab.primes import (
     MAX_GAP_DIFF,
@@ -24,6 +24,7 @@ from sievelab.primes import (
     primorial,
     sieve_range,
 )
+from sievelab.variational import KernelParams
 
 
 def _trial_primes(limit):
@@ -120,6 +121,47 @@ def test_odd_sieve_matches_trial_division(lo, width, segment):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT", segment)
         assert_sieve_matches_trial_division(lo, lo + width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(0, 300), bits=st.lists(st.booleans(), min_size=1, max_size=300))
+@example(lo=0, bits=[True] * 9)  # keeps 2
+@example(lo=1, bits=[True, False, True])  # odd lo, keeps 2
+@example(lo=2, bits=[False, True, False, True])  # drops 2
+def test_prime_list_is_read_off_the_mask(lo, bits):
+    # any mask that sets no value below 2 and no even value but 2, as
+    # sieve_range and thinned tables write them, whatever it says of odd
+    # composites
+    n = lo + np.arange(len(bits))
+    mask = np.array(bits) & (n >= 2) & ((n % 2 == 1) | (n == 2))
+    table = primes.PrimeTable(lo, mask)
+    assert table.hi == lo + mask.size
+    assert table.primes.dtype == np.int64
+    assert np.array_equal(table.primes, lo + np.flatnonzero(mask))
+    assert table.count() == table.primes.size
+
+
+def test_mask_readers_never_list_primes(monkeypatch):
+    # gap counts, cell scans, the Tao check and W-strided moment segments
+    # read only the mask, so no table they sieve holds a prime list
+    tables = []
+
+    def recording(lo, hi, **kw):
+        tables.append(sieve_range(lo, hi, **kw))
+        return tables[-1]
+
+    for module in (primes, sieve, cells):
+        monkeypatch.setattr(module, "sieve_range", recording)
+    gap_counts(5000, 100)
+    part = cells.split_into_cells((0, 2), 2)
+    cells.scan_singleton_cells(part, 3, 5000, min_singletons=2)
+    params = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
+    cfg = sieve.make_config(50000, delta=0.45, offsets=(0, 2, 6), params=params)
+    alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
+    sieve.tao_domination_check(cfg, alt, 0, 2, 1, 50000)
+    sieve.moment_sums(cfg, 1, 50000, restrict=True)
+    assert cfg.W > 1 and len(tables) == 4  # one table per call
+    assert [t.lo for t in tables if "primes" in vars(t)] == []
 
 
 def test_sieve_every_window_below_40():
@@ -263,7 +305,7 @@ def test_goldbach_kernel_is_exact_on_thinned_primes(limit, segment, seed):
     def thinned(lo, hi):
         table = sieve(lo, hi)
         mask = table.is_prime & keep[lo:hi]
-        return primes.PrimeTable(lo, hi, mask, lo + np.flatnonzero(mask))
+        return primes.PrimeTable(lo, mask)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT", segment)
