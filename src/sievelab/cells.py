@@ -180,7 +180,7 @@ def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
             f"SCAN_BUDGET = {SCAN_BUDGET}; narrow --lo/--hi"
         )
     h = part.offsets.offsets
-    table = sieve_range(max(0, lo + h[0]), hi + h[-1] + 1)
+    table = sieve_range(lo + h[0], hi + h[-1] + 1)
     per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
     for j, cell in enumerate(part.cells):
         for off in cell:

@@ -117,7 +117,11 @@ def cmd_primes(args) -> str:
     config = {"limit": args.limit, "mode": args.mode}
     if args.mode == "stats":
         table = primes.sieve_range(0, args.limit + 1)
-        largest = int(table.primes[-1]) if table.count() else 0
+        is_p, span = table.is_prime, 1  # span doubles until its tail holds a prime
+        while span < is_p.size and not is_p[-span:].any():
+            span = min(2 * span, is_p.size)
+        last = np.flatnonzero(is_p[-span:])
+        largest = is_p.size - span + int(last[-1]) if last.size else 0
         body = csv_lines(
             ["stat", "value"],
             [["prime_count", "largest_prime"], [table.count(), largest]],

@@ -51,9 +51,10 @@ class PrimeTable:
     """Primality data for [lo, hi), hi = lo + is_prime.size.
 
     is_prime[n - lo] says whether n is prime; no cell below 2 and no even
-    cell but 2 is set.  The mask is the table: primes, the sorted list, is
-    read off it on first use and kept, so code that reads only the mask
-    never lists.
+    cell but 2 is set.  lo may be negative, or hi at most 2: the cells below
+    2 read False like any composite, so no reader clamps its values.  The
+    mask is the table: primes, the sorted list, is read off it on first use
+    and kept, so code that reads only the mask never lists.
     """
 
     lo: int
@@ -85,31 +86,17 @@ class PrimeTable:
         return bool(self.is_prime[n - self.lo])
 
     def along(self, first: int, step: int, count: int) -> np.ndarray:
-        """Primality of first + j*step for j < count (step may be negative).
-
-        Values below 2 read False; any other value outside [lo, hi) raises
-        IndexError, as is_prime_at does.  When no value lies below 2 the
-        result is a read-only strided view of is_prime, not a copy.
-        """
+        """Primality of first + j*step for j < count (step may be negative),
+        as a read-only strided view of is_prime.  A value outside [lo, hi)
+        raises IndexError, as is_prime_at does."""
         if step == 0 or count < 0:
             raise ValueError(f"need step != 0 and count >= 0, got {step}, {count}")
-        # the values >= 2 are the j in [j0, j1): a prefix or a suffix
-        if step > 0:
-            j0, j1 = min(count, max(0, (step + 1 - first) // step)), count
-        else:
-            j0, j1 = 0, min(count, max(0, (first - 2) // -step + 1))
-        if j0 == j1:
-            return np.zeros(count, dtype=bool)
-        a = first + j0 * step
-        for v in (a, first + (j1 - 1) * step):
-            self.is_prime_at(v)  # IndexError outside [lo, hi)
-        view = self.is_prime[a - self.lo :: step][: j1 - j0]
-        if j1 - j0 == count:
-            view.flags.writeable = False
-            return view
-        out = np.zeros(count, dtype=bool)
-        out[j0:j1] = view
-        return out
+        if count:
+            for v in (first, first + (count - 1) * step):
+                self.is_prime_at(v)
+        view = self.is_prime[first - self.lo :: step][:count]
+        view.flags.writeable = False
+        return view
 
     def count(self) -> int:
         return int(np.count_nonzero(self.is_prime))
@@ -122,7 +109,9 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     from the wheel (15015 odd cells a period), each base prime p > 13
     crosses off its odd multiples from p*p, SEGMENT odd cells at a time,
     and one strided assignment writes it into is_prime (2 is set apart).
-    No prime list is built: PrimeTable.primes reads one off the mask.
+    Any lo < hi is taken, a negative lo or a window wholly below 2 too; the
+    cells below 2 are False.  No prime list is built: PrimeTable.primes
+    reads one off the mask.
 
     The allocated cells (the window length and the sqrt(hi) base-prime
     sieve both count) may not exceed DEFAULT_SIEVE_BUDGET; more raises
@@ -131,7 +120,7 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     Parameters
     ----------
     lo, hi : int
-        Range bounds, 0 <= lo < hi.
+        Range bounds, lo < hi.
     want_spf : bool
         Accepted and ignored: perfbench's replays pass it.
 
@@ -139,9 +128,10 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     -------
     PrimeTable
     """
-    if lo < 0 or hi <= lo:
-        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    cells = max(hi - lo, math.isqrt(hi - 1))
+    if hi <= lo:
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
+    root = math.isqrt(max(hi - 1, 0))
+    cells = max(hi - lo, root)
     if cells > DEFAULT_SIEVE_BUDGET:
         raise ResourceBudgetError(
             f"sieve_range({lo}, {hi}) needs {cells} cells, over the budget "
@@ -151,15 +141,11 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     # odd[j]: o0 + 2j is prime; the wheel strikes the multiples of 3..13
     o0, h = lo | 1, hi // 2 - lo // 2
     is_p = np.zeros(n, dtype=bool)  # before the scratch, which keeps peak RSS down
-    k = (lo // 2) % _WHEEL.size
-    if k + h <= _WHEEL.size:
-        odd = _WHEEL[k : k + h].copy()
-    else:
-        odd = np.resize(np.roll(_WHEEL, -k), h)
-    for q in (1, *_WHEEL_PRIMES):  # 1 is not prime; 3, 5, 7, 11 and 13 are
-        if lo <= q < hi:
-            odd[(q - o0) // 2] = q > 1
-    base = _small_primes(math.isqrt(hi - 1))
+    k = (lo // 2) % _WHEEL.size  # the wheel cell of o0, lo < 0 included
+    odd = np.tile(_WHEEL, -(-(k + h) // _WHEEL.size))[k : k + h]
+    odd[: max(0, (3 - o0) // 2)] = False  # the odd values below 2
+    odd[[(q - o0) // 2 for q in _WHEEL_PRIMES if lo <= q < hi]] = True
+    base = _small_primes(root)
     sieving = base[base > _WHEEL_PRIMES[-1]].tolist()
     for j0 in range(0, h, SEGMENT):
         j1, v0 = min(j0 + SEGMENT, h), o0 + 2 * j0
@@ -347,13 +333,16 @@ def primorial(bound: float) -> int:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     prod = 1
-    for p in _small_primes(int(bound)):
-        prod *= int(p)
-        if prod.bit_length() > PRIMORIAL_BITS:
-            raise OverflowError(
-                f"primorial({bound}) needs {prod.bit_length()} bits at prime "
-                f"{int(p)}, over PRIMORIAL_BITS = {PRIMORIAL_BITS}; lower --w-bound"
-            )
+    # n is prime when coprime to prod (the primes below n); each prime at least
+    # doubles prod, so the walk overflows by the PRIMORIAL_BITS-th prime, any bound
+    for n in range(2, int(bound) + 1):
+        if math.gcd(n, prod) == 1:
+            prod *= n
+            if prod.bit_length() > PRIMORIAL_BITS:
+                raise OverflowError(
+                    f"primorial({bound}) needs {prod.bit_length()} bits at prime "
+                    f"{n}, over PRIMORIAL_BITS = {PRIMORIAL_BITS}; lower --w-bound"
+                )
     return prod
 
 

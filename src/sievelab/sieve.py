@@ -432,14 +432,13 @@ def _w2_gram(w2: np.ndarray, masks, hits) -> list[list[float]]:
 def _prime_masks(forms, start: int, step: int, count: int):
     """(masks, hits) on the grid n = start + j*step, j < count: masks[a][j]
     is whether s*n + b is prime, (s, b) = forms[a], all read off one table
-    over [max(2, least value read), greatest value read].  hits yields each
+    over [least value read, greatest value read].  hits yields each
     mask's ascending j: by bisection of the table's primes for a unit step,
     else by a scan of the mask (short on the W-strided grid)."""
     reads = [(s * start + b, s * step) for s, b in forms]
     last = max(count - 1, 0)
     ends = [first + j * d for first, d in reads for j in (0, last)]
-    least = max(2, min(ends))
-    table = sieve_range(least, max(least, max(ends)) + 1)
+    table = sieve_range(min(ends), max(ends) + 1)
     masks = [table.along(first, d, count) for first, d in reads]
 
     def hits(read, mask):
@@ -628,12 +627,13 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     sum_x2w2 = sum_xw2 + same + mixed
     cs = sum_xw2**2 <= sum_active * sum_x2w2 * (1 + 1e-12) + 1e-300
     witness, witness_count = None, 0
-    for idx_i, idx_j in itertools.product(range(k), repeat=2):
-        both = masks[idx_i] & masks[k + idx_j]
-        c = int(both.sum())
-        witness_count += c
-        if c and witness is None:
-            witness = (lo + int(np.argmax(both)), base[idx_i], base[idx_j])
+    for i in range(k):
+        at = np.flatnonzero(masks[i])  # a gather of the mirrored views, not an AND
+        for j in range(k):
+            both = at[masks[k + j][at]]
+            witness_count += both.size
+            if both.size and witness is None:
+                witness = (lo + int(both[0]), base[i], base[j])
     return GoldbachScanReport(
         N=N, n_lo=lo, n_hi=hi, union=union, sum_w2=sum_w2,
         sum_w2_active=sum_active, sum_xw2=sum_xw2, sum_x2w2=sum_x2w2,

@@ -255,6 +255,16 @@ class TestSingletonScan:
         assert scan.ns.tolist() == ns
         assert scan.counts.tolist() == oracle
 
+    def test_values_below_two_count_as_no_prime_in_both_paths(self):
+        # n + h reaches -1 at n = 1: the per-n count and the scan both read
+        # it off a table that starts there, as no prime
+        part = cells.split_into_cells((-2, 0, 4, 6), 2)
+        table = sieve_range(-1, 300)
+        per_n = [list(cells.cell_prime_counts(part, n, table).counts) for n in (1, 2, 3)]
+        scan = cells.scan_singleton_cells(part, 1, 3, 0)
+        assert scan.ns.tolist() == [1, 2, 3]
+        assert per_n == scan.counts.tolist() == [[0, 2], [1, 0], [1, 1]]
+
 
 class TestCellStatistic:
     def part6(self):

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -142,6 +143,19 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert "at prime 53" in err
         assert "PRIMORIAL_BITS = 64" in err and "--w-bound" in err
+
+    @pytest.mark.parametrize("bound", ["1e9", "1e13"])
+    def test_primorial_refusal_sieves_nothing_up_to_the_bound(self, bound):
+        # the overflow comes at prime 53 whatever the bound, so a bound of
+        # 10^13 is refused as fast as 60, not after a sieve of its length
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["sieve", "--N", "2e4", "--w-bound", bound])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 4 and out == ""
+        assert err == (
+            f"parameter error: primorial({int(float(bound))}) needs 65 bits at "
+            "prime 53, over PRIMORIAL_BITS = 64; lower --w-bound\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -504,6 +518,13 @@ PINNED_STDOUT = {
         "db0e6ca544e6a86611b9f42b1e81b73ed8b24263a6debfdf506805ce65ef912f",
     "primes --limit 1e6 --normalized-gaps":
         "9b4de9c14c54148c828b7791ba528a6a40f91f3e70b5ce46066e3cf21b4c3cba",
+    # negative offsets: n + h, and the mirrored N - n - h, read values below 2
+    "sieve --N 2e5 --delta 0.3 --tuple=-2,0,4 --base 1.1 --slope 3 --cutoff 2.9 --unrestricted":
+        "38fb7227d9c919596e7e1b9f1311e0fa6d87efec4d919d382547fc938a82b61c",
+    "gaps --tuple=-2,0,4,6 --n-cells 2 --lo 1 --hi 2000 --min-singletons 1":
+        "9550aa67a885e07d2e1a286100ab1005b5ae8b4d0b7d0624007d7b72c950fe1c",
+    "goldbach-scan --N 2000 --tuple=-2,0 --allow-small-window":
+        "2ebbecdf3e4ad00b3c435d9875378d24ccbefa891b58012fc86987f551f7c461",
 }
 
 

@@ -123,8 +123,24 @@ def test_odd_sieve_matches_trial_division(lo, width, segment):
         assert_sieve_matches_trial_division(lo, lo + width)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.integers(-70_000, 1),
+    width=st.integers(1, 70_000),
+    segment=st.integers(1, 64),
+)
+@example(lo=-30_031, width=30_030, segment=64)  # wholly below 2, a wheel period
+@example(lo=-7, width=9, segment=1)  # -7 .. 1, hi = 2
+@example(lo=-1, width=4, segment=1)  # -1, 0, 1, 2
+def test_sieve_below_two_matches_trial_division(lo, width, segment):
+    # a table may start below 0 or lie wholly below 2; those cells are False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", segment)
+        assert_sieve_matches_trial_division(lo, lo + width)
+
+
 @settings(max_examples=100, deadline=None)
-@given(lo=st.integers(0, 300), bits=st.lists(st.booleans(), min_size=1, max_size=300))
+@given(lo=st.integers(-300, 300), bits=st.lists(st.booleans(), min_size=1, max_size=300))
 @example(lo=0, bits=[True] * 9)  # keeps 2
 @example(lo=1, bits=[True, False, True])  # odd lo, keeps 2
 @example(lo=2, bits=[False, True, False, True])  # drops 2
@@ -142,8 +158,9 @@ def test_prime_list_is_read_off_the_mask(lo, bits):
 
 
 def test_mask_readers_never_list_primes(monkeypatch):
-    # gap counts, cell scans, the Tao check and W-strided moment segments
-    # read only the mask, so no table they sieve holds a prime list
+    # gap counts, cell scans, the Tao check, W-strided moment segments and
+    # primes --stats read only the mask, so no table they sieve holds a
+    # prime list
     tables = []
 
     def recording(lo, hi, **kw):
@@ -160,7 +177,12 @@ def test_mask_readers_never_list_primes(monkeypatch):
     alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
     sieve.tao_domination_check(cfg, alt, 0, 2, 1, 50000)
     sieve.moment_sums(cfg, 1, 50000, restrict=True)
-    assert cfg.W > 1 and len(tables) == 4  # one table per call
+    for limit, largest in [(1, 0), (2, 2), (3, 3), (5000, 4999)]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["primes", "--limit", str(limit), "--stats"]) == 0
+        assert out.getvalue().endswith(f"largest_prime,{largest}\n")
+    assert cfg.W > 1 and len(tables) == 8  # one table per call
     assert [t.lo for t in tables if "primes" in vars(t)] == []
 
 
@@ -208,7 +230,9 @@ def test_sieve_rejects_bad_range():
     with pytest.raises(ValueError):
         sieve_range(10, 10)
     with pytest.raises(ValueError):
-        sieve_range(-1, 5)
+        sieve_range(5, -1)
+    # a negative lo is a range like any other: its cells below 2 are False
+    assert sieve_range(-1, 5).primes.tolist() == [2, 3]
 
 
 ORACLE_PRIME_SET = frozenset(ORACLE_PRIMES_1K.tolist())
@@ -216,14 +240,16 @@ ORACLE_PRIME_SET = frozenset(ORACLE_PRIMES_1K.tolist())
 
 @settings(max_examples=400, deadline=None)
 @given(
-    lo=st.integers(0, 60),
+    lo=st.integers(-60, 60),
     width=st.integers(1, 400),
     shift=st.integers(-45, 125),
     step=st.sampled_from([s * sign for s in range(1, 8) for sign in (1, -1)]),
     count=st.integers(1, 40),  # count = 0 comes from an example below
 )
-@example(lo=0, width=50, shift=-3, step=2, count=4)  # -3, -1, 1, 3
-@example(lo=0, width=50, shift=5, step=-2, count=5)  # 5, 3, 1, -1, -3
+@example(lo=-5, width=50, shift=2, step=2, count=4)  # -3, -1, 1, 3
+@example(lo=-5, width=50, shift=10, step=-2, count=5)  # 5, 3, 1, -1, -3
+@example(lo=0, width=50, shift=-3, step=2, count=4)  # -3 below lo
+@example(lo=0, width=50, shift=5, step=-2, count=5)  # -1 below lo
 @example(lo=10, width=40, shift=0, step=3, count=0)
 @example(lo=10, width=40, shift=30, step=3, count=4)  # 49 is the last cell
 @example(lo=10, width=40, shift=30, step=3, count=5)  # 52 past the end
@@ -232,18 +258,16 @@ ORACLE_PRIME_SET = frozenset(ORACLE_PRIMES_1K.tolist())
 def test_along_matches_per_value_oracle(lo, width, shift, step, count):
     table = sieve_range(lo, lo + width)
     values = [lo + shift + j * step for j in range(count)]
-    if any(v >= 2 and not lo <= v < lo + width for v in values):
+    if any(not lo <= v < lo + width for v in values):
         with pytest.raises(IndexError):
             table.along(lo + shift, step, count)
         return
     got = table.along(lo + shift, step, count)
     assert got.dtype == bool and got.shape == (count,)
     assert got.tolist() == [v in ORACLE_PRIME_SET for v in values]
-    if count and min(values) >= 2:
-        assert np.shares_memory(got, table.is_prime)
-        assert not got.flags.writeable
-    else:
-        assert not np.shares_memory(got, table.is_prime)
+    # a view of the table's own mask, never a copy
+    assert got.base is table.is_prime and not got.flags.writeable
+    assert np.shares_memory(got, table.is_prime) == (count > 0)
 
 
 def test_along_rejects_zero_step_and_negative_count():

@@ -413,7 +413,7 @@ class TestBlockedKernels:
         assert len(w) > 2 * sieve.BLOCK and np.array_equal(w, ref)
 
     @pytest.mark.parametrize("offsets, lo, size", [
-        ((-2, 0, 4), 1, 3000),  # the table starts at 0
+        ((-2, 0, 4), 1, 3000),  # the table starts at -1
         ((-2, 0, 4), 1, (1 << 17) + 4321),  # not a multiple of BLOCK
         ((0, 2, 6, 8), 10**5, 3 * (1 << 17) + 1),
     ])
@@ -422,7 +422,7 @@ class TestBlockedKernels:
         cfg = rich_config(N=10**6, delta=0.3, offsets=offsets)
         hi = lo + size - 1
         forms = [(1, h) for h in offsets]
-        table = sieve_range(max(0, lo + offsets[0]), hi + offsets[-1] + 1)
+        table = sieve_range(lo + offsets[0], hi + offsets[-1] + 1)
         masks = [table.along(lo + h, 1, size) for h in offsets]
         core_masks, hits = sieve._prime_masks(forms, lo, 1, size)
         hits = list(hits)
@@ -459,9 +459,9 @@ class TestBlockedKernels:
     ])
     def test_mirrored_reads_find_hits_by_bisection(self, monkeypatch, forms, start, count):
         # a descending read (s = -1) yields its hits in ascending j, and the
-        # one table spans [max(2, least value read), greatest value read]
+        # one table spans [least value read, greatest value read]
         values = [s * (start + j) + b for s, b in forms for j in (0, max(count - 1, 0))]
-        table = sieve_range(0, max(values) + 1)
+        table = sieve_range(min(values), max(values) + 1)
         calls = []
 
         def spy(lo, hi, **kw):
@@ -470,11 +470,29 @@ class TestBlockedKernels:
 
         monkeypatch.setattr(sieve, "sieve_range", spy)
         masks, hits = sieve._prime_masks(forms, start, 1, count)
-        assert calls == [(max(2, min(values)), max(values) + 1)]
+        assert calls == [(min(values), max(values) + 1)]
         for (s, b), mask, idx in zip(forms, masks, hits, strict=True):
             ref = table.along(s * start + b, s, count)
             assert np.array_equal(mask, ref)
             assert np.array_equal(idx, np.flatnonzero(ref))
+
+
+    def test_mirrored_masks_are_views_of_one_table(self, monkeypatch):
+        # N - n - h goes below 2 near n = N; those reads are views too
+        tables = []
+
+        def spy(lo, hi, **kw):
+            tables.append(sieve_range(lo, hi, **kw))
+            return tables[-1]
+
+        monkeypatch.setattr(sieve, "sieve_range", spy)
+        N = 2000
+        forms = [(1, 0), (1, 2), (-1, N), (-1, N - 2)]
+        masks, _ = sieve._prime_masks(forms, N // 2, 1, N // 2 + 1)
+        (table,) = tables
+        assert (table.lo, table.hi) == (-2, N + 3)
+        for mask in masks:
+            assert np.shares_memory(mask, table.is_prime) and not mask.flags.writeable
 
 
 class TestMomentSums:
@@ -761,7 +779,8 @@ class TestGoldbachScan:
 
     def test_table_stops_at_largest_value_read(self, monkeypatch):
         # n + h with n <= N is the largest value read; the mirrored N - n - h
-        # stay at or below N/2, so a table over [2, 2N + 2) reports the same
+        # run from N/2 down to -max(h) at n = N, so a table over
+        # [-max(h), 2N + 2) reports the same
         cfg, _ = self.scan()
         for N in (100, 2002, 20000):
             calls = []
@@ -772,9 +791,10 @@ class TestGoldbachScan:
 
             monkeypatch.setattr(sieve, "sieve_range", spy)
             rep = sieve.goldbach_window_scan(cfg, N=N)
-            assert calls == [(2, N + max(cfg.offsets) + 1)]
+            h = max(cfg.offsets)
+            assert calls == [(-h, N + h + 1)]
             monkeypatch.setattr(
-                sieve, "sieve_range", lambda lo, hi, **kw: sieve_range(2, 2 * N + 2)
+                sieve, "sieve_range", lambda lo, hi, **kw: sieve_range(-h, 2 * N + 2)
             )
             assert sieve.goldbach_window_scan(cfg, N=N) == rep
 
@@ -791,7 +811,7 @@ class TestGoldbachScan:
         lo, N, k = rep.n_lo, rep.N, cfg.k
         start, step, w = sieve.weight_array(scan_cfg, lo, N, restrict=False)
         assert (start, step) == (lo, 1) and np.ptp(w) > 0  # w is not constant
-        table = sieve_range(2, 2 * N + 2)
+        table = sieve_range(-max(cfg.offsets), 2 * N + 2)  # N - N - h at n = N
         masks = [table.along(lo + h, 1, len(w)) for h in cfg.offsets]
         masks += [table.along(N - lo - h, -1, len(w)) for h in cfg.offsets]
         x = np.sum(masks, axis=0)
