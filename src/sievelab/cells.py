@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterConditionError, ResourceBudgetError
-from .primes import PrimeTable, sieve_range
+# sieve_range is not called here: perfbench's install test reads cells.sieve_range
+from .primes import PrimeTable, form_masks, sieve_range  # noqa: F401
 from .reportio import report_dict
 from .tuples import OffsetTuple, as_tuple
 
@@ -159,10 +160,10 @@ class SingletonScan:
 def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
     """Positions n in [lo, hi] (n = residue mod modulus when modulus is
     given), as a range, and the primes among n + h per cell: per_cell[j, i]
-    counts cell j at ns[i].  The span (the prime table's length) and the
-    count matrix's entries must each stay within SCAN_BUDGET."""
-    if lo < 1 or hi < lo:
-        raise ParameterConditionError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    counts cell j at ns[i], the sum of the form_masks of its offsets.  The
+    span and the count matrix's entries must each stay within SCAN_BUDGET."""
+    if hi < lo:
+        raise ParameterConditionError(f"need lo <= hi, got [{lo}, {hi}]")
     if modulus is not None and modulus < 1:
         raise ParameterConditionError(f"modulus must be >= 1, got {modulus}")
     if modulus is None and residue:
@@ -179,12 +180,10 @@ def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
             f"positions = {entries} count entries; the larger exceeds "
             f"SCAN_BUDGET = {SCAN_BUDGET}; narrow --lo/--hi"
         )
-    h = part.offsets.offsets
-    table = sieve_range(lo + h[0], hi + h[-1] + 1)
+    masks, _ = form_masks([(1, h) for h in part.offsets], ns.start, step, len(ns))
     per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
-    for j, cell in enumerate(part.cells):
-        for off in cell:
-            per_cell[j] += table.along(ns.start + off, step, len(ns))
+    for a, mask in enumerate(masks):  # the cells split the offsets in order
+        per_cell[a // part.cell_size] += mask
     return ns, per_cell
 
 

@@ -160,6 +160,30 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     return PrimeTable(lo=lo, is_prime=is_p)
 
 
+def form_masks(forms, start: int, step: int, count: int):
+    """(masks, hits) on the grid n = start + j*step, j < count: masks[a][j]
+    is whether s*n + b is prime, (s, b) = forms[a], each an along view of
+    one table over [least value read, greatest value read].  hits yields
+    each mask's ascending j on demand: by bisection of the table's primes
+    for a unit step, else by a scan of the mask (short on a W-strided
+    grid), so a reader of the masks alone never lists primes."""
+    reads = [(s * start + b, s * step) for s, b in forms]
+    last = max(count - 1, 0)
+    ends = [first + j * d for first, d in reads for j in (0, last)]
+    table = sieve_range(min(ends), max(ends) + 1)
+    masks = [table.along(first, d, count) for first, d in reads]
+
+    def hits(read, mask):
+        first, d = read
+        if abs(d) != 1:
+            return np.flatnonzero(mask)
+        low, primes = min(first, first + d * last), table.primes
+        p = primes[primes.searchsorted(low) : primes.searchsorted(low + count)]
+        return p - first if d == 1 else (first - p)[::-1]
+
+    return masks, map(hits, reads, masks)
+
+
 def goldbach_numbers(limit: int) -> np.ndarray:
     """All n <= limit expressible as a sum of two primes, ascending.
 

@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterConditionError, ResourceBudgetError
-from .primes import _small_primes, primorial, sieve_range
+from .primes import _small_primes, form_masks, primorial
 from .reportio import report_dict
 from .tuples import OffsetTuple, as_tuple, is_admissible, mirror_union
 from .variational import KernelParams
@@ -301,12 +301,10 @@ def _classes(support: Support, offsets: tuple[int, ...]) -> tuple:
 
 
 def weight(cfg: SieveConfig, n: int, table=None) -> float:
-    """Sieve weight of n: the sum of the lambda whose class holds n, read
-    from the class table in its order, so the value equals weight_array's
-    at n bit for bit.  table is accepted and unused: perfbench's replays
-    still pass a prime table, which no longer holds factor data."""
-    if any(n + h < 1 for h in cfg.offsets):
-        raise ParameterConditionError(f"n + h must be >= 1; n = {n}")
+    """Sieve weight of any integer n: the sum of the lambda whose class
+    holds n, read from the class table in its order, so the value equals
+    weight_array's at n bit for bit.  table is accepted and unused:
+    perfbench's replays still pass a prime table."""
     total = 0.0
     for a, m, lam in _classes(cfg.support, cfg.offsets.offsets):
         if n % m == a:
@@ -316,11 +314,10 @@ def weight(cfg: SieveConfig, n: int, table=None) -> float:
 
 def naive_weight(cfg: SieveConfig, n: int) -> float:
     """Definitional oracle: scan all candidate divisors of each n + h_i by
-    remainder tests and sum the coefficients tuple by tuple.  Slow on
-    purpose; keep ranges small."""
+    remainder tests and sum the coefficients tuple by tuple.  Any integer
+    n: d | n + h is a congruence whatever the sign of n + h, and an entry 0
+    is divisible by every d.  Slow on purpose; keep ranges small."""
     entries = [n + h for h in cfg.offsets]
-    if any(m < 1 for m in entries):
-        raise ParameterConditionError(f"n + h must be >= 1; n = {n}")
     sup = cfg.support
     log_r = math.log(cfg.R)
     per_coord = [[d for d in sup.divisors if m % d == 0] for m in entries]
@@ -360,15 +357,20 @@ def _place(classes, start: int, step: int, count: int) -> np.ndarray:
     return w
 
 
+def _grid(cfg: SieveConfig, lo: int, hi: int, restrict: bool):
+    """(start, step, count): weight_array's grid over [lo, hi]."""
+    step = cfg.W if restrict else 1
+    start = lo + (cfg.b0 - lo) % step
+    return start, step, max((hi - start) // step + 1, 0)
+
+
 def weight_array(cfg: SieveConfig, lo: int, hi: int, restrict: bool = True):
     """Weights for all n in [lo, hi], vectorized.
 
     Returns (start, step, values): n = start + j*step runs over the grid
     (step = W with n = b0 mod W when restrict, else 1), values[j] the weight.
     """
-    step = cfg.W if restrict else 1
-    start = lo + (cfg.b0 - lo) % step
-    count = max((hi - start) // step + 1, 0)
+    start, step, count = _grid(cfg, lo, hi, restrict)
     classes = _classes(cfg.support, cfg.offsets.offsets) if count else ()
     return start, step, _place(classes, start, step, count)
 
@@ -429,34 +431,13 @@ def _w2_gram(w2: np.ndarray, masks, hits) -> list[list[float]]:
     return g
 
 
-def _prime_masks(forms, start: int, step: int, count: int):
-    """(masks, hits) on the grid n = start + j*step, j < count: masks[a][j]
-    is whether s*n + b is prime, (s, b) = forms[a], all read off one table
-    over [least value read, greatest value read].  hits yields each
-    mask's ascending j: by bisection of the table's primes for a unit step,
-    else by a scan of the mask (short on the W-strided grid)."""
-    reads = [(s * start + b, s * step) for s, b in forms]
-    last = max(count - 1, 0)
-    ends = [first + j * d for first, d in reads for j in (0, last)]
-    table = sieve_range(min(ends), max(ends) + 1)
-    masks = [table.along(first, d, count) for first, d in reads]
-
-    def hits(read, mask):
-        first, d = read
-        if abs(d) != 1:
-            return np.flatnonzero(mask)
-        low, primes = min(first, first + d * last), table.primes
-        p = primes[primes.searchsorted(low) : primes.searchsorted(low + count)]
-        return p - first if d == 1 else (first - p)[::-1]
-
-    return masks, map(hits, reads, masks)
-
-
 def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms):
     """The grid core: (w^2, masks, Gram) on weight_array's grid over [lo, hi],
-    the masks read by _prime_masks and the Gram from _w2_gram."""
-    start, step, w = weight_array(cfg, lo, hi, restrict=restrict)
-    masks, hits = _prime_masks(forms, start, step, len(w))
+    the masks read by form_masks and the Gram from _w2_gram.  The masks are
+    read first, so a table over the sieve budget is refused before the
+    weights, which grow with the window, are placed."""
+    masks, hits = form_masks(forms, *_grid(cfg, lo, hi, restrict))
+    _, _, w = weight_array(cfg, lo, hi, restrict=restrict)
     np.square(w, out=w)
     return w, masks, _w2_gram(w, masks, hits)
 
@@ -472,8 +453,6 @@ def moment_sums(
     order, so totals do not depend on the thread count.  A span over
     MAX_MOMENT_SPAN raises ResourceBudgetError.
     """
-    if lo < 1:
-        raise ParameterConditionError(f"window start must be >= 1, got {lo}")
     if hi - lo > MAX_MOMENT_SPAN:
         raise ResourceBudgetError(
             f"window span {hi - lo} exceeds MAX_MOMENT_SPAN = {MAX_MOMENT_SPAN}; "
@@ -534,8 +513,6 @@ def tao_domination_check(
         raise ParameterConditionError(f"need distinct indices below {cfg.k}")
     if alt_params.k != cfg.k:
         raise ParameterConditionError("alt_params.k must match the offsets")
-    if lo < 1:
-        raise ParameterConditionError(f"window start must be >= 1, got {lo}")
     log_r = math.log(cfg.R)
     swapped = []
     for dt, lam in cfg.support.coeff.items():
@@ -556,12 +533,10 @@ def tao_domination_check(
 
     h_i, h_j = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
     n_scanned = max(0, hi - lo + 1)
-    cand = np.logical_and(*_prime_masks([(1, h_i), (1, h_j)], lo, 1, n_scanned)[0])
+    cand = np.logical_and(*form_masks([(1, h_i), (1, h_j)], lo, 1, n_scanned)[0])
     # both entries must also exceed R: n > R - min(h_i, h_j)
     cand[: max(0, cfg.R - min(h_i, h_j) + 1 - lo)] = False
     checked = np.flatnonzero(cand)
-    if len(checked) and lo + checked[0] + cfg.offsets.offsets[0] < 1:
-        raise ParameterConditionError(f"n + h must be >= 1; n = {lo + checked[0]}")
     diff = np.abs(_place(swapped, lo, 1, n_scanned)[checked])
     return TaoCheckReport(
         n_lo=lo, n_hi=hi, index_pair=(i, j), n_scanned=n_scanned,

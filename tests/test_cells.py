@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import cells, cli
+from sievelab import cells, cli, primes
 from sievelab.errors import ParameterConditionError, ResourceBudgetError
 from sievelab.primes import sieve_range
 from sievelab.tuples import densest_tuple
@@ -219,8 +219,8 @@ class TestSingletonScan:
 
     def test_validation_and_budget(self):
         part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
-        with pytest.raises(ParameterConditionError):
-            cells.scan_singleton_cells(part, 0, 100, 1)
+        with pytest.raises(ParameterConditionError, match=r"need lo <= hi, got \[100, 99\]$"):
+            cells.scan_singleton_cells(part, 100, 99, 1)
         with pytest.raises(ResourceBudgetError, match="SCAN_BUDGET = 200000000; narrow"):
             cells.scan_singleton_cells(part, 1, 10**10, 1)
 
@@ -228,7 +228,7 @@ class TestSingletonScan:
         def refuse(*a, **kw):
             raise AssertionError("the scan reached sieve_range")
 
-        monkeypatch.setattr(cells, "sieve_range", refuse)
+        monkeypatch.setattr(primes, "sieve_range", refuse)
         # span 1.9e8 is within SCAN_BUDGET; 4 cells x 1.9e8 positions is not
         part = cells.partition_tuple((0, 2, 6, 8, 12, 18, 20, 26), theta=0.667, m=1)
         with pytest.raises(ResourceBudgetError) as err:
@@ -254,6 +254,38 @@ class TestSingletonScan:
         ]
         assert scan.ns.tolist() == ns
         assert scan.counts.tolist() == oracle
+
+    @pytest.mark.parametrize("offsets, n_cells", [((-2, 0, 4, 6), 2), ((0, 2, 6), 3)])
+    @pytest.mark.parametrize("modulus, residue", [(None, 0), (6, 5)])
+    def test_scans_from_below_zero_match_per_n_counts(self, offsets, n_cells, modulus, residue):
+        # any integer n: the entries n + h at or below 1 count as no prime
+        part = cells.split_into_cells(offsets, n_cells)
+        lo, hi = -20, 300
+        scan = cells.scan_singleton_cells(part, lo, hi, 0, modulus, residue)
+        table = sieve_range(lo + offsets[0], hi + offsets[-1] + 1)
+        ns = [n for n in range(lo, hi + 1) if not modulus or n % modulus == residue]
+        per_n = [list(cells.cell_prime_counts(part, n, table).counts) for n in ns]
+        assert scan.ns.tolist() == ns
+        assert scan.counts.tolist() == per_n
+        rep = cells.cell_statistic_sum(part, lo, hi, modulus=modulus, residue=residue)
+        stat = [sum(c > 0 for c in row) - part.m - sum(c * (c - 1) for c in row) for row in per_n]
+        assert rep.total == sum(stat) and rep.n_positive == sum(v > 0 for v in stat)
+
+    def test_residue_scan_sieves_only_the_values_read(self, monkeypatch):
+        # n = 5, 11, ..., 995 (lo = 3, hi = 1000) read n + h in [5, 1001]
+        calls = []
+
+        def spy(lo, hi, **kw):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi, **kw)
+
+        monkeypatch.setattr(primes, "sieve_range", spy)
+        part = cells.partition_tuple((0, 2, 6), theta=1.0, m=1)
+        scan = cells.scan_singleton_cells(part, 3, 1000, 3, modulus=6, residue=5)
+        assert calls == [(5, 995 + 6 + 1)]
+        table = sieve_range(0, 1010)
+        expect = [n for n in range(5, 1001, 6) if all(n + h in table for h in (0, 2, 6))]
+        assert scan.ns.tolist() == expect and len(expect) > 5
 
     def test_values_below_two_count_as_no_prime_in_both_paths(self):
         # n + h reaches -1 at n = 1: the per-n count and the scan both read

@@ -111,6 +111,25 @@ class TestExitCodes:
         code, _, err = run_cli(["density", "--limit", "1e10"])
         assert code == 3 and "budget" in err
 
+    def test_goldbach_scan_refuses_its_table_before_placing_weights(self):
+        # N/2 weights at N = 4e9 are 14.9 GiB: under a 2 GiB address-space
+        # cap the scan must meet the table's budget before that allocation
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from sievelab.cli import main; sys.exit(main(['goldbach-scan', '--N', '4e9', "
+            "'--delta', '0.2', '--tuple', '0,2', '--allow-small-window']))"
+        )
+        src = str(pathlib.Path(sievelab.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr == (
+            "resource budget exceeded: sieve_range(-2, 4000000003) needs 4000000005 "
+            "cells, over the budget DEFAULT_SIEVE_BUDGET = 200000000; lower --limit or --N\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

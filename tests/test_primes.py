@@ -167,8 +167,7 @@ def test_mask_readers_never_list_primes(monkeypatch):
         tables.append(sieve_range(lo, hi, **kw))
         return tables[-1]
 
-    for module in (primes, sieve, cells):
-        monkeypatch.setattr(module, "sieve_range", recording)
+    monkeypatch.setattr(primes, "sieve_range", recording)  # form_masks and cli read it here
     gap_counts(5000, 100)
     part = cells.split_into_cells((0, 2), 2)
     cells.scan_singleton_cells(part, 3, 5000, min_singletons=2)

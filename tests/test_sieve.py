@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sievelab import cli, sieve
+from sievelab import cli, primes, sieve
 from sievelab.errors import ParameterConditionError, ResourceBudgetError
 from sievelab.primes import sieve_range
 from sievelab.variational import KernelParams
@@ -297,12 +297,15 @@ class TestWeightPaths:
         for n in (11, 221, 5051):
             assert sieve.weight(cfg, n) == pytest.approx(lam0, rel=1e-15)
 
-    def test_weight_rejects_nonpositive_entries(self):
-        cfg = rich_config()
-        with pytest.raises(ParameterConditionError):
-            sieve.weight(cfg, 0)
-        with pytest.raises(ParameterConditionError):
-            sieve.naive_weight(cfg, -5)
+    @pytest.mark.parametrize("restrict", [True, False])
+    @pytest.mark.parametrize("cfg", [
+        rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4)), rich_config(),
+    ], ids=["offsets-2,0,4", "rich"])
+    def test_three_paths_agree_across_zero(self, cfg, restrict):
+        # every path takes any integer n: d | n + h is a congruence whatever
+        # the sign of n + h, and an entry 0 is divisible by every d; the first
+        # config is the pinned sieve --tuple=-2,0,4 window's (n - 2 = 0 at n = 2)
+        self.check_window(cfg, -60 * (cfg.W if restrict else 1), 300, restrict)
 
     def test_weight_array_grid_alignment(self):
         cfg = rich_config()
@@ -339,6 +342,11 @@ class TestWeightPaths:
         assert sieve.weight(cfg, n) == pytest.approx(
             sieve.naive_weight(cfg, n), abs=1e-12
         )
+
+
+def trial_division_prime(v):
+    """Primality of any integer v by trial division: below 2 is not prime."""
+    return v >= 2 and all(v % p for p in range(2, math.isqrt(v) + 1))
 
 
 def naive_hybrid_weight(cfg, n, alt, i, j):
@@ -424,7 +432,7 @@ class TestBlockedKernels:
         forms = [(1, h) for h in offsets]
         table = sieve_range(lo + offsets[0], hi + offsets[-1] + 1)
         masks = [table.along(lo + h, 1, size) for h in offsets]
-        core_masks, hits = sieve._prime_masks(forms, lo, 1, size)
+        core_masks, hits = primes.form_masks(forms, lo, 1, size)
         hits = list(hits)
         for idx, mask, core_mask in zip(hits, masks, core_masks, strict=True):
             assert np.array_equal(core_mask, mask)
@@ -468,8 +476,8 @@ class TestBlockedKernels:
             calls.append((lo, hi))
             return sieve_range(lo, hi, **kw)
 
-        monkeypatch.setattr(sieve, "sieve_range", spy)
-        masks, hits = sieve._prime_masks(forms, start, 1, count)
+        monkeypatch.setattr(primes, "sieve_range", spy)
+        masks, hits = primes.form_masks(forms, start, 1, count)
         assert calls == [(min(values), max(values) + 1)]
         for (s, b), mask, idx in zip(forms, masks, hits, strict=True):
             ref = table.along(s * start + b, s, count)
@@ -485,10 +493,10 @@ class TestBlockedKernels:
             tables.append(sieve_range(lo, hi, **kw))
             return tables[-1]
 
-        monkeypatch.setattr(sieve, "sieve_range", spy)
+        monkeypatch.setattr(primes, "sieve_range", spy)
         N = 2000
         forms = [(1, 0), (1, 2), (-1, N), (-1, N - 2)]
-        masks, _ = sieve._prime_masks(forms, N // 2, 1, N // 2 + 1)
+        masks, _ = primes.form_masks(forms, N // 2, 1, N // 2 + 1)
         (table,) = tables
         assert (table.lo, table.hi) == (-2, N + 3)
         for mask in masks:
@@ -572,10 +580,25 @@ class TestMomentSums:
         assert rep.ratios == (0.0, 0.0, 0.0)
         assert rep.pair_max_ratio == 0.0
 
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_window_across_zero_matches_brute_oracle(self, restrict):
+        # n from -50: entries n + h at or below 0 are not prime, and the
+        # weight there is naive_weight's
+        cfg = rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4))
+        lo, hi = -50 * (cfg.W if restrict else 1), 400
+        rep = sieve.moment_sums(cfg, lo, hi, restrict=restrict)
+        ns = [n for n in range(lo, hi + 1) if not restrict or n % cfg.W == cfg.b0]
+        w2 = [sieve.naive_weight(cfg, n) ** 2 for n in ns]
+        hits = [[trial_division_prime(n + h) for h in cfg.offsets] for n in ns]
+        assert rep.n_count == len(ns)
+        assert rep.sum_w2 == pytest.approx(math.fsum(w2), rel=1e-12)
+        for i, j in itertools.product(range(3), repeat=2):
+            oracle = math.fsum(v for v, hit in zip(w2, hits) if hit[i] and hit[j])
+            assert rep.pair_sq_sums[i][j] == pytest.approx(oracle, rel=1e-12, abs=1e-18)
+        assert rep.prime_sq_sums == tuple(rep.pair_sq_sums[i][i] for i in range(3))
+
     def test_window_validation(self):
         cfg = rich_config()
-        with pytest.raises(ParameterConditionError):
-            sieve.moment_sums(cfg, 0, 100)
         with pytest.raises(ResourceBudgetError, match="MAX_MOMENT_SPAN = 400000000; lower --N"):
             sieve.moment_sums(cfg, 1, 10**10)
 
@@ -673,23 +696,35 @@ class TestTaoDomination:
         # the difference lives off the checked set: the check is not vacuous
         assert np.count_nonzero(diff) > 100 and rep.n_checked > 20 and rep.passed
 
-    def test_refuses_an_entry_below_one(self):
-        # n = 5 is the first n with n, n + 2 prime above R = 3, and n - 10 < 1
-        cfg = sieve.make_config(81, delta=0.25, offsets=(-10, 0, 2), strict=False)
+    @pytest.mark.parametrize("cfg, i, j", [
+        (rich_config(offsets=(-2, 0, 4)), 1, 2),
+        # n = 5 has n, n + 2 prime above R = 3 while n - 10 < 0
+        (sieve.make_config(81, delta=0.25, offsets=(-10, 0, 2), strict=False), 1, 2),
+    ], ids=["rich", "R3"])
+    def test_window_from_below_zero_matches_naive_oracles(self, monkeypatch, cfg, i, j):
         alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
-        assert cfg.R == 3
-        with pytest.raises(ParameterConditionError, match=r"n \+ h must be >= 1; n = 5$"):
-            sieve.tao_domination_check(cfg, alt, 1, 2, 1, 100)
-        rep = sieve.tao_domination_check(cfg, alt, 1, 2, 11, 100)
-        assert rep.n_checked > 0 and rep.passed
+        placed = []
+        real_place = sieve._place
 
-    @pytest.mark.parametrize("lo", [0, -5])
-    def test_refuses_a_window_start_below_one(self, lo):
-        # the start is refused as moment_sums refuses it, not clamped to 1
-        cfg = rich_config()
-        alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
-        with pytest.raises(ParameterConditionError, match=f"window start must be >= 1, got {lo}$"):
-            sieve.tao_domination_check(cfg, alt, 0, 2, lo, 100)
+        def spy(*args):
+            placed.append(real_place(*args))
+            return placed[-1]
+
+        monkeypatch.setattr(sieve, "_place", spy)
+        lo, hi = -20, 400
+        rep = sieve.tao_domination_check(cfg, alt, i, j, lo, hi)
+        (diff,) = placed
+        assert len(diff) == rep.n_scanned == hi - lo + 1
+        for n in range(lo, hi + 1):
+            expect = sieve.naive_weight(cfg, n) - naive_hybrid_weight(cfg, n, alt, i, j)
+            assert diff[n - lo] == pytest.approx(expect, abs=1e-12)
+        h_i, h_j = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
+        checked = [
+            n for n in range(lo, hi + 1)
+            if all(n + h > cfg.R and trial_division_prime(n + h) for h in (h_i, h_j))
+        ]
+        assert rep.n_checked == len(checked) > 0 and rep.passed
+        assert rep.max_abs_diff == max(abs(diff[n - lo]) for n in checked) == 0.0
 
     def test_table_starts_at_the_window(self, monkeypatch):
         # both masks are read off one table over the values n + h_i, n + h_j
@@ -701,7 +736,7 @@ class TestTaoDomination:
             calls.append((lo, hi))
             return sieve_range(lo, hi, **kw)
 
-        monkeypatch.setattr(sieve, "sieve_range", spy)
+        monkeypatch.setattr(primes, "sieve_range", spy)
         rep = sieve.tao_domination_check(cfg, alt, 0, 2, 10**6, 10**6 + 10**4)
         assert calls == [(10**6, 10**6 + 10**4 + 7)]
         assert rep.n_scanned == 10**4 + 1 and rep.n_checked > 0 and rep.passed
@@ -789,12 +824,12 @@ class TestGoldbachScan:
                 calls.append((lo, hi))
                 return sieve_range(lo, hi, **kw)
 
-            monkeypatch.setattr(sieve, "sieve_range", spy)
+            monkeypatch.setattr(primes, "sieve_range", spy)
             rep = sieve.goldbach_window_scan(cfg, N=N)
             h = max(cfg.offsets)
             assert calls == [(-h, N + h + 1)]
             monkeypatch.setattr(
-                sieve, "sieve_range", lambda lo, hi, **kw: sieve_range(-h, 2 * N + 2)
+                primes, "sieve_range", lambda lo, hi, **kw: sieve_range(-h, 2 * N + 2)
             )
             assert sieve.goldbach_window_scan(cfg, N=N) == rep
 
