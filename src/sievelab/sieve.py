@@ -5,16 +5,18 @@ function at the points log d_i / log R, over tuples of pairwise coprime
 divisors d_i | n + h_i.  One cached `Support` per (R, W, params) holds the
 Moebius table, the divisors and the one table of lambda, with an exact
 tuple count (a refusal, ResourceBudgetError or CLI exit code 3, names it).
-A tuple holds on exactly one residue class of n modulo lcm(d_i), or none;
-`divisor_class` solves it, and the class table of (a, m, lambda), cached
-per Support and offsets, is what the fast paths read: `weight` is a per-n
-lookup in it, and `weight_array` merges each class with its grid
-(`_place`) and adds lambda along the progression.  `naive_weight`, which
-evaluates the test function over the divisors of each n + h_i, is the
-independent oracle.  One grid core sums w^2 over each pair of masks of the
-forms s*n + b that are prime, read off one table; the moment sums (n + h)
-and the mirrored scan (also N - n - h, its x sums read off the pair table)
-share it, and the profile-swap domination check reads its masks likewise.
+The d_i of a support tuple are pairwise coprime and coprime to W, so the
+tuple holds on exactly one residue class of n modulo prod(d_i), which
+`divisor_class` solves by the coprime CRT.  The class table of (a, m,
+lambda), cached per Support and offsets, is what the fast paths read:
+`weight` is a per-n lookup in it, and `weight_array` finds each class's
+first grid position (`_place`) and adds lambda along the progression.
+`naive_weight`, which evaluates the test function over the divisors of
+each n + h_i, is the independent oracle.  One grid core sums w^2 over
+each pair of masks of the forms s*n + b that are prime, read off one
+table; the moment sums (n + h) and the mirrored scan (also N - n - h, its
+x sums read off the pair table) share it, and the profile-swap domination
+check reads its masks likewise.
 """
 
 from __future__ import annotations
@@ -262,42 +264,25 @@ def lambda_coeff(cfg: SieveConfig, d) -> float:
     return cfg.support.coeff.get(d, 0.0)
 
 
-def _crt_merge(a1: int, m1: int, a2: int, m2: int):
-    """Solve x = a1 mod m1, x = a2 mod m2; None when inconsistent."""
-    g = math.gcd(m1, m2)
-    if (a2 - a1) % g != 0:
-        return None
-    l = m1 // g * m2
-    step = pow(m1 // g, -1, m2 // g) if m2 // g > 1 else 0
-    x = (a1 + (a2 - a1) // g % (m2 // g) * step % (m2 // g) * m1) % l
-    return x, l
-
-
 def divisor_class(offsets, d):
-    """The class (a, m), m = lcm(d_i) and 0 <= a < m, of the n with every
-    d_i | n + h_i; None when two of the congruences clash."""
+    """The class (a, m), m = prod(d_i) and 0 <= a < m, of the n with every
+    d_i | n + h_i, by the coprime CRT; pow(m, -1, 1) = 0 covers d_i = 1.  A
+    support tuple's d_i are pairwise coprime; two that share a prime make
+    pow raise ValueError."""
     a, m = 0, 1
     for d_i, h in zip(d, offsets):
-        if d_i > 1:
-            merged = _crt_merge(a, m, -h % d_i, d_i)
-            if merged is None:
-                return None
-            a, m = merged
+        a += m * ((-h - a) * pow(m, -1, d_i) % d_i)
+        m *= d_i
     return a, m
 
 
 @functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
 def _classes(support: Support, offsets: tuple[int, ...]) -> tuple:
-    """(a, m, lambda) for each tuple of the Support whose congruences hold
-    on a class n = a mod m, in enumeration order: the class table that
-    every weight path reads.  Keyed on the Support object, so each lookup
-    goes through build_support and its tuple budget."""
-    out = []
-    for d, lam in support.coeff.items():
-        cls = divisor_class(offsets, d)
-        if cls is not None:
-            out.append((*cls, lam))
-    return tuple(out)
+    """(a, m, lambda) for each tuple of the Support, n = a mod m its class,
+    in enumeration order: the class table that every weight path reads.
+    Keyed on the Support object, so each lookup goes through build_support
+    and its tuple budget."""
+    return tuple((*divisor_class(offsets, d), lam) for d, lam in support.coeff.items())
 
 
 def weight(cfg: SieveConfig, n: int, table=None) -> float:
@@ -336,19 +321,12 @@ def naive_weight(cfg: SieveConfig, n: int) -> float:
 
 def _place(classes, start: int, step: int, count: int) -> np.ndarray:
     """values[j] = sum of c over the (a, m, c) in classes with n = a mod m,
-    at n = start + j*step (j < count).  Each class, merged with the grid's
-    class start mod step, gives a progression of grid positions; the
-    values are added block by block (BLOCK points, cache-resident), in the
-    given order inside each block, so values[j] is bit-identical to a
-    whole-array pass."""
-    progressions = []
-    for a, m, c in classes:
-        merged = _crt_merge(start % step, step, a, m)
-        if merged is not None:
-            # positions j with start + j*step = a (mod m): step divides m
-            a, m = merged
-            stride = m // step
-            progressions.append(((a - start) // step % stride, stride, c))
+    at n = start + j*step (j < count).  Each m is coprime to step (W or 1),
+    so a class holds at the grid positions j = first mod m, first = (a -
+    start) * step^-1 mod m.  The values are added block by block (BLOCK
+    points, cache-resident), in the given order inside each block, so
+    values[j] is bit-identical to a whole-array pass."""
+    progressions = [((a - start) * pow(step, -1, m) % m, m, c) for a, m, c in classes]
     w = np.zeros(count)
     for b in range(0, count, BLOCK):
         block = w[b : b + BLOCK]
@@ -527,9 +505,7 @@ def tao_domination_check(
         lam_alt = math.copysign(math.prod(factors), lam)
         if lam_alt == lam:
             continue
-        cls = divisor_class(cfg.offsets, dt)
-        if cls is not None:
-            swapped.append((*cls, lam - lam_alt))
+        swapped.append((*divisor_class(cfg.offsets, dt), lam - lam_alt))
 
     h_i, h_j = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
     n_scanned = max(0, hi - lo + 1)

@@ -393,6 +393,8 @@ def simplex_mc_integrals(
         raise ParameterConditionError(
             f"n_samples must be at least 10^4, got {n_samples}"
         )
+    if seed < 0:
+        raise ParameterConditionError(f"seed must be non-negative, got {seed}")
     k = params.k
     cap = params.coord_cap
     tau = params.sum_cap
@@ -402,55 +404,37 @@ def simplex_mc_integrals(
         n_samples // MC_BATCHES + (1 if b < n_samples % MC_BATCHES else 0)
         for b in range(MC_BATCHES)
     ]
-
     h_grid, h_vals = _pair_mass_grid(params)
-    sq_b, proj_b, biproj_b, t1_b, t2_b = [], [], [], [], []
-    forms = closed_forms(params)
-    inner_mass = forms.mass / k  # full integral of profile(k*t)
+    inner_mass = closed_forms(params).mass / k  # full integral of profile(k*t)
+
+    def proj(s):  # the closed-form inner integral over the room under tau
+        return _cum_mass(params, np.clip(tau - s, 0.0, cap)) ** 2
+
+    def biproj(s):  # the two-variable one, interpolated in the pair table
+        return np.interp(np.clip(tau - s, 0.0, min(2 * cap, tau)), h_grid, h_vals) ** 2
+
+    # name: (dimension, sum cap, scale, factor of the coordinate sum s), drawn
+    # in this order; the tails, capped at inf, sample the box [0, cap]^dim
+    integrals = {
+        "square": (k, tau, 1.0, lambda s: s <= tau),
+        "proj_square": (k - 1, tau, 1.0, proj),
+        "biproj_square": (k - 2, tau, 1.0, biproj),
+        "tail1": (k, math.inf, 1.0, lambda s: s >= eps),
+        "tail2": (k - 1, math.inf, inner_mass**2, lambda s: s >= eps),
+    }
+    if k == 2:  # the two-variable projection is deterministic, below
+        del integrals["biproj_square"]
+    batches = {name: [] for name in integrals}
     for nb in per_batch:
-        # full square integral over the capped simplex
-        pts, vol = _sample_domain(rng, nb, k, cap, tau)
-        vals_sq = np.prod(_scaled_profile(params, pts), axis=1) ** 2
-        vals_sq *= pts.sum(axis=1) <= tau
-        sq_b.append(vol * float(vals_sq.mean()))
-
-        # one-variable projection: inner integral in closed form
-        rest, vol = _sample_domain(rng, nb, k - 1, cap, tau)
-        prod_rest = np.prod(_scaled_profile(params, rest), axis=1)
-        room = np.clip(tau - rest.sum(axis=1), 0.0, cap)
-        proj_b.append(vol * float((prod_rest**2 * _cum_mass(params, room) ** 2).mean()))
-
-        # two-variable projection; at k = 2 it is deterministic, below
-        if k > 2:
-            mids, vol = _sample_domain(rng, nb, k - 2, cap, tau)
-            prod_mid = np.prod(_scaled_profile(params, mids), axis=1)
-            room = np.clip(tau - mids.sum(axis=1), 0.0, min(2 * cap, tau))
-            pair_mass = np.interp(room, h_grid, h_vals)
-            biproj_b.append(vol * float((prod_mid**2 * pair_mass**2).mean()))
-
-        # tails are box integrals above the threshold, no simplex cap
-        pts = rng.uniform(0.0, cap, size=(nb, k))
-        vals_t = np.prod(_scaled_profile(params, pts), axis=1) ** 2
-        vals_t *= pts.sum(axis=1) >= eps
-        t1_b.append(cap**k * float(vals_t.mean()))
-
-        rest = rng.uniform(0.0, cap, size=(nb, k - 1))
-        vals_t = np.prod(_scaled_profile(params, rest), axis=1) ** 2
-        vals_t *= rest.sum(axis=1) >= eps
-        t2_b.append(inner_mass**2 * cap ** (k - 1) * float(vals_t.mean()))
-
-    return SimplexMcResult(
-        params=params,
-        n_samples=n_samples,
-        seed=seed,
-        square=_batch_stats(sq_b),
-        proj_square=_batch_stats(proj_b),
-        biproj_square=(
-            _batch_stats(biproj_b) if k > 2 else McEstimate(float(h_vals[-1]) ** 2, 0.0)
-        ),
-        tail1=_batch_stats(t1_b),
-        tail2=_batch_stats(t2_b),
-    )
+        for name, (dim, sum_cap, scale, factor) in integrals.items():
+            pts, vol = _sample_domain(rng, nb, dim, cap, sum_cap)
+            vals = np.prod(_scaled_profile(params, pts), axis=1) ** 2
+            vals *= factor(pts.sum(axis=1))
+            batches[name].append(scale * vol * float(vals.mean()))
+    est = {name: _batch_stats(b) for name, b in batches.items()}
+    if k == 2:
+        est["biproj_square"] = McEstimate(float(h_vals[-1]) ** 2, 0.0)
+    return SimplexMcResult(params=params, n_samples=n_samples, seed=seed, **est)
 
 
 def projection_ratio_exact(params: KernelParams) -> float:

@@ -101,6 +101,15 @@ class TestExitCodes:
         code, _, err = run_cli(["gaps", "--lo", "3", "--hi", "100"])
         assert code == 4 and "--tuple" in err
 
+    def test_negative_mc_seed_is_named(self):
+        code, out, err = run_cli(
+            ["variational", "--k", "2", "--mc-samples", "1e4", "--seed", "-1"]
+        )
+        assert code == 4 and out == "" and "seed" in err
+        # without --mc-samples the seed is only recorded in the config
+        code, out, _ = run_cli(["variational", "--k", "2", "--seed", "-1"])
+        assert code == 0 and json.loads(out)["config"]["seed"] == -1
+
     def test_strict_window_exit_4(self):
         # N = 500, delta = 0.45 gives R = 16, and 100 R > N
         code, _, err = run_cli(["sieve", "--N", "500", "--delta", "0.45"])

@@ -244,6 +244,47 @@ class TestSupportAndCoeffs:
             sieve.lambda_coeff(cfg, (0, 1, 1))
 
 
+class TestDivisorClasses:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        R=st.integers(min_value=2, max_value=2000),
+        w_bound=st.sampled_from([0, 2, 3, 5, 7]),
+        offsets=st.lists(st.integers(-60, 60), min_size=1, max_size=3),
+    )
+    def test_support_tuple_has_one_class_mod_the_product(self, R, w_bound, offsets):
+        k = len(offsets)
+        p = KernelParams(k=k, base=1.1, slope=3.0, cutoff=k - 0.1)
+        sup = sieve.build_support(R, primes.primorial(w_bound), p)
+        for dt in sup.coeff:
+            a, m = sieve.divisor_class(offsets, dt)
+            assert m == math.prod(dt) and 0 <= a < m
+            n = np.arange(m)
+            hit = np.ones(m, dtype=bool)
+            for d, h in zip(dt, offsets):
+                hit &= (n + h) % d == 0
+            assert np.flatnonzero(hit).tolist() == [a]
+
+    def test_shared_prime_raises(self):
+        # 3 | n and 3 | n + 2 clash; the support never holds such a tuple
+        with pytest.raises(ValueError):
+            sieve.divisor_class((0, 2), (3, 3))
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_place_from_below_zero_equals_membership_sums(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(sieve, "BLOCK", block)
+        cfg = rich_config(offsets=(-2, 0, 4))
+        classes = sieve._classes(cfg.support, cfg.offsets.offsets)
+        start, step, count = cfg.b0 - 40 * cfg.W, cfg.W, 300
+        placed = sieve._place(classes, start, step, count)
+        expect = [
+            sum(c for a, m, c in classes if (start + j * step) % m == a)
+            for j in range(count)
+        ]
+        assert start + count * step > 0 and np.count_nonzero(placed) > count // 2
+        assert placed.tolist() == expect
+
+
 class TestWeightPaths:
     def check_window(self, cfg, lo, hi, restrict):
         start, step, w = sieve.weight_array(cfg, lo, hi, restrict=restrict)
@@ -367,19 +408,29 @@ def naive_hybrid_weight(cfg, n, alt, i, j):
     return total
 
 
+def solve_congruences(a1, m1, a2, m2):
+    """x = a1 mod m1 and x = a2 mod m2 by a search over the first class up
+    to lcm(m1, m2): (x, lcm), or None when the two clash."""
+    lcm = math.lcm(m1, m2)
+    for x in range(a1 % m1, lcm, m1):
+        if x % m2 == a2 % m2:
+            return x, lcm
+    return None
+
+
 def whole_array_weights(cfg, lo, hi, restrict=True):
-    """Oracle for weight_array: one slice-add per tuple over the whole grid."""
+    """Oracle for weight_array: one slice-add per tuple over the whole grid,
+    its class merged with the grid's by a general CRT search."""
     step = cfg.W if restrict else 1
     start = lo + (cfg.b0 - lo) % step
     w = np.zeros(max((hi - start) // step + 1, 0))
     for dt, lam in sieve.lambda_tuples(cfg):
         a, m = (cfg.b0, cfg.W) if restrict else (0, 1)
         for d, h in zip(dt, cfg.offsets):
-            if d > 1:
-                merged = sieve._crt_merge(a, m, (-h) % d, d)
-                if merged is None:
-                    break
-                a, m = merged
+            merged = solve_congruences(a, m, -h, d)
+            if merged is None:
+                break
+            a, m = merged
         else:
             stride = m // step
             w[(a - start) // step % stride :: stride] += lam
@@ -655,9 +706,7 @@ class TestTaoDomination:
                                         math.log(d) / log_r)
                 for c, d in enumerate(dt)
             )
-            cls = sieve.divisor_class(cfg.offsets, dt)
-            if cls is not None:
-                bad.append((*cls, lam - sign * val))
+            bad.append((*sieve.divisor_class(cfg.offsets, dt), lam - sign * val))
         start = 1 + (cfg.b0 - 1) % cfg.W
         count = (50000 - start) // cfg.W + 1
         placed = sieve._place(bad, start, cfg.W, count)
