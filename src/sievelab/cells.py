@@ -1,17 +1,18 @@
 """Cell partitions of offset tuples and gap-compatible subsequence search.
 
-An offset tuple splits into equal contiguous cells; per-cell prime counts at
-a shifted position feed a counting statistic whose positivity forces several
-cells to hold exactly one prime.  Separately, a longest-subsequence dynamic
-program finds increasing runs whose consecutive differences all sit near a
-supplied set of gap values.
+A cell partition is its sorted offsets, m and a cell count that divides k;
+its equal contiguous cells are read off the offsets.  Per-cell prime counts
+at a shifted position feed a counting statistic whose positivity forces
+several cells to hold exactly one prime.  Separately, a longest-subsequence
+dynamic program finds increasing runs whose consecutive differences all sit
+near a supplied set of gap values.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,30 +25,19 @@ from .tuples import OffsetTuple, as_tuple
 SCAN_BUDGET = 200_000_000
 
 
-def _cell_count_for(theta: float, m: int) -> tuple[int, int]:
-    """(a, number of cells) with a = ceil(2/theta), cells = a*m + 1."""
-    if not 0 < theta <= 1:
-        raise ParameterConditionError(f"theta must lie in (0, 1], got {theta}")
-    if m < 1:
-        raise ParameterConditionError(f"m must be >= 1, got {m}")
-    # guard the ceiling against float noise in 2/theta (e.g. theta = 2/3)
-    a = math.ceil(2.0 / theta - 1e-9)
-    return a, a * m + 1
-
-
 @dataclass(frozen=True)
 class CellPartition:
-    """Sorted offsets split into equal contiguous cells.
+    """Sorted offsets cut into n_cells equal contiguous cells.
 
-    Built by partition_tuple, cells has a*m + 1 entries with
-    a = ceil(2/theta) and each cell holds k / (a*m + 1) consecutive
-    offsets.  Free-form splits from split_into_cells carry theta = a =
-    None; the rest of the module only needs the cells and m.
+    The partition is its offsets, m and the cell count; the cells are read
+    off the offsets, so they cannot disagree with them.  partition_tuple
+    sets n_cells = a*m + 1 with a = ceil(2/theta) and records theta and a;
+    a free-form split from split_into_cells carries theta = a = None.
     """
 
     offsets: OffsetTuple
     m: int
-    cells: tuple[OffsetTuple, ...]
+    n_cells: int
     theta: float | None = None
     a: int | None = None
 
@@ -56,50 +46,44 @@ class CellPartition:
         return self.offsets.k
 
     @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    @property
     def cell_size(self) -> int:
         return self.k // self.n_cells
 
-
-def _equal_cells(t: OffsetTuple, n_cells: int, hint: str = "") -> tuple[OffsetTuple, ...]:
-    """t split into n_cells contiguous cells of k / n_cells offsets each;
-    hint is appended to the error when n_cells does not divide k."""
-    if t.k % n_cells:
-        raise ParameterConditionError(
-            f"cell count {n_cells} does not divide k = {t.k}{hint}"
-        )
-    size = t.k // n_cells
-    return tuple(
-        OffsetTuple(t.offsets[i * size : (i + 1) * size]) for i in range(n_cells)
-    )
-
-
-def partition_tuple(offsets, theta: float, m: int) -> CellPartition:
-    """Split sorted offsets into a*m + 1 contiguous equal-size cells."""
-    t = as_tuple(offsets)
-    a, n_cells = _cell_count_for(theta, m)
-    lower = (t.k // n_cells) * n_cells
-    upper = lower + n_cells
-    nearest = lower if lower > 0 and t.k - lower <= upper - t.k else upper
-    cells = _equal_cells(t, n_cells, f"; nearest valid k is {nearest}")
-    return CellPartition(offsets=t, m=m, cells=cells, theta=theta, a=a)
+    @property
+    def cells(self) -> tuple[OffsetTuple, ...]:
+        h, size = self.offsets.offsets, self.cell_size
+        return tuple(OffsetTuple(h[i : i + size]) for i in range(0, self.k, size))
 
 
 def split_into_cells(offsets, n_cells: int, m: int = 1) -> CellPartition:
-    """Equal contiguous split into an arbitrary cell count.
+    """The partition of sorted offsets into n_cells equal contiguous cells.
 
-    Bypasses the a = ceil(2/theta) shape constraint; counting and scanning
-    work the same either way.  The cell count must still divide k.
+    The one validating constructor: m >= 1, n_cells >= 1 and n_cells must
+    divide k; that refusal names the nearest valid k.
     """
     t = as_tuple(offsets)
-    if n_cells < 1:
-        raise ParameterConditionError(f"n_cells must be >= 1, got {n_cells}")
     if m < 1:
         raise ParameterConditionError(f"m must be >= 1, got {m}")
-    return CellPartition(offsets=t, m=m, cells=_equal_cells(t, n_cells))
+    if n_cells < 1:
+        raise ParameterConditionError(f"n_cells must be >= 1, got {n_cells}")
+    if t.k % n_cells:
+        lower = t.k - t.k % n_cells
+        upper = lower + n_cells
+        nearest = lower if lower > 0 and t.k - lower <= upper - t.k else upper
+        raise ParameterConditionError(
+            f"cell count {n_cells} does not divide k = {t.k}; nearest valid k is {nearest}"
+        )
+    return CellPartition(offsets=t, m=m, n_cells=n_cells)
+
+
+def partition_tuple(offsets, theta: float, m: int) -> CellPartition:
+    """Split sorted offsets into a*m + 1 equal contiguous cells,
+    a = ceil(2/theta)."""
+    if not 0 < theta <= 1:
+        raise ParameterConditionError(f"theta must lie in (0, 1], got {theta}")
+    # guard the ceiling against float noise in 2/theta (e.g. theta = 2/3)
+    a = math.ceil(2.0 / theta - 1e-9)
+    return replace(split_into_cells(offsets, a * m + 1, m), theta=theta, a=a)
 
 
 @dataclass(frozen=True)
@@ -173,15 +157,15 @@ def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
         )
     step = modulus or 1
     ns = range(lo + (residue - lo) % step, hi + 1, step)
-    entries = len(part.cells) * len(ns)
+    entries = part.n_cells * len(ns)
     if max(hi - lo, entries) > SCAN_BUDGET:
         raise ResourceBudgetError(
-            f"scan of span {hi - lo} needs {len(part.cells)} cells x {len(ns)} "
+            f"scan of span {hi - lo} needs {part.n_cells} cells x {len(ns)} "
             f"positions = {entries} count entries; the larger exceeds "
             f"SCAN_BUDGET = {SCAN_BUDGET}; narrow --lo/--hi"
         )
     masks, _ = form_masks([(1, h) for h in part.offsets], ns.start, step, len(ns))
-    per_cell = np.zeros((len(part.cells), len(ns)), dtype=np.int64)
+    per_cell = np.zeros((part.n_cells, len(ns)), dtype=np.int64)
     for a, mask in enumerate(masks):  # the cells split the offsets in order
         per_cell[a // part.cell_size] += mask
     return ns, per_cell

@@ -3,8 +3,8 @@
 Every run resolves its full configuration up front and embeds it in the
 output (CSV comment header or JSON config block) along with the tool
 version.  No timestamps, no environment leakage: identical arguments give
-byte-identical files.  Exit codes: 0 success, 2 usage, 3 resource budget,
-4 parameter condition, 5 internal invariant.
+byte-identical files.  Exit codes: 0 success, 2 usage, 3 resource budget
+or failed allocation, 4 parameter condition, 5 internal invariant.
 
 One parser, built once per process and never changed, reads every run.
 `--config file.ini` turns the subcommand's section into flags placed
@@ -363,21 +363,8 @@ def build_parser():
     p = add("primes", cmd_primes, help="prime tables and gap statistics")
     p.add_argument("--limit", type=positive_sci_int, required=True)
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--stats", dest="mode", action="store_const", const="stats"
-    )
-    mode.add_argument(
-        "--goldbach-gaps", dest="mode", action="store_const", const="goldbach-gaps"
-    )
-    mode.add_argument(
-        "--gap-counts", dest="mode", action="store_const", const="gap-counts"
-    )
-    mode.add_argument(
-        "--normalized-gaps",
-        dest="mode",
-        action="store_const",
-        const="normalized-gaps",
-    )
+    for name in ("stats", "goldbach-gaps", "gap-counts", "normalized-gaps"):
+        mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name)
     p.add_argument("--max-diff", type=positive_sci_int, default=100)
 
     p = add("variational", cmd_variational, help="kernel closed forms and ratios")
@@ -532,7 +519,7 @@ def main(argv=None) -> int:
         args.given = _given_dests(args.command, argv[at:])
         emit(args, args.func(args))
         return 0
-    except ResourceBudgetError as e:
+    except (ResourceBudgetError, MemoryError) as e:  # numpy's names the array
         print(f"resource budget exceeded: {e}", file=sys.stderr)
         return 3
     except InvariantViolationError as e:

@@ -54,9 +54,6 @@ class DiffGraph:
         i, j = self.vertex_index(x), self.vertex_index(y)
         return bool(self.adjacency[i, j])
 
-    def degree(self, v: int) -> int:
-        return int(self.adjacency[self.vertex_index(v)].sum())
-
     def edge_count(self) -> int:
         return int(np.triu(self.adjacency, 1).sum())
 
@@ -152,23 +149,18 @@ def contains_ktt(g: DiffGraph, t: int) -> KttSearchResult:
         return left, right
 
     if t <= 3:
+        # common excludes every chosen vertex: each was cleared at its level
         def rec(start, chosen, common):
             for pos in range(start, len(order)):
                 i = order[pos]
                 visit()
                 new_common = common & adj[i]
                 new_common[i] = False
-                for c in chosen:
-                    new_common[c] = False
                 if int(new_common.sum()) < t:
                     continue
-                chosen.append(i)
-                if len(chosen) == t:
-                    found = witness_from(chosen, new_common)
-                    chosen.pop()
-                    return found
-                deeper = rec(pos + 1, chosen, new_common)
-                chosen.pop()
+                if len(chosen) + 1 == t:
+                    return witness_from(chosen + [i], new_common)
+                deeper = rec(pos + 1, chosen + [i], new_common)
                 if deeper:
                     return deeper
             return None

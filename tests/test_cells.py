@@ -3,6 +3,7 @@ direct primality, singleton scans against a twin-prime oracle, the counting
 statistic, and the gap-compatible subsequence DP against brute force."""
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -67,6 +68,49 @@ class TestPartition:
             cells.partition_tuple(densest_tuple(11), theta=0.5, m=1)
         with pytest.raises(ParameterConditionError, match="nearest valid k is 15"):
             cells.partition_tuple(densest_tuple(14), theta=0.5, m=1)
+
+    def test_free_form_refusal_names_nearest_k(self):
+        with pytest.raises(ParameterConditionError, match="nearest valid k is 2$"):
+            cells.split_into_cells((0, 2, 6), 2)
+        # m is checked before the cell count
+        with pytest.raises(ParameterConditionError, match="m must"):
+            cells.split_into_cells((0, 2, 6), 0, m=0)
+
+    @given(st.sets(st.integers(-200, 200), min_size=1, max_size=24))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_are_the_offsets_in_equal_blocks(self, offsets):
+        t = sorted(offsets)
+        for n_cells in range(1, len(t) + 2):
+            if len(t) % n_cells:
+                with pytest.raises(ParameterConditionError, match="does not divide"):
+                    cells.split_into_cells(t, n_cells)
+                continue
+            part = cells.split_into_cells(t, n_cells)
+            assert len(part.cells) == part.n_cells == n_cells
+            assert {c.k for c in part.cells} == {len(t) // n_cells} == {part.cell_size}
+            assert [h for cell in part.cells for h in cell.offsets] == t
+
+    @given(
+        st.one_of(st.sampled_from([2 / 3, 2 / 7, 0.4, 0.5, 1.0]), st.floats(0.2, 1.0)),
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.sampled_from([0, 0, 1, -1]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_partition_is_the_split_into_a_m_plus_one_cells(self, theta, m, c, off, data):
+        # k is c*(a*m + 1), or one off it so that both refuse alike
+        a = math.ceil(2.0 / theta - 1e-9)
+        k = c * (a * m + 1) + off
+        offsets = data.draw(st.sets(st.integers(-300, 300), min_size=k, max_size=k))
+        try:
+            expect = replace(cells.split_into_cells(offsets, a * m + 1, m), theta=theta, a=a)
+        except ParameterConditionError as e:
+            assert off
+            with pytest.raises(ParameterConditionError, match=f"^{e}$"):
+                cells.partition_tuple(offsets, theta, m)
+        else:
+            assert not off and cells.partition_tuple(offsets, theta, m) == expect
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterConditionError, match="theta"):

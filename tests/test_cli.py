@@ -139,6 +139,22 @@ class TestExitCodes:
             "cells, over the budget DEFAULT_SIEVE_BUDGET = 200000000; lower --limit or --N\n"
         )
 
+    def test_failed_allocation_exits_3(self):
+        # 1e10 samples draw a 500,000,000 x 3 float64 batch (11.2 GiB): under
+        # a 2 GiB address-space cap numpy's MemoryError is a budget refusal
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from sievelab.cli import main; "
+            "sys.exit(main(['variational', '--k', '3', '--mc-samples', '1e10']))"
+        )
+        src = str(pathlib.Path(sievelab.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr.startswith("resource budget exceeded: Unable to allocate")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,7 @@
 """Every demo script, and every example in the README, runs to completion
-against the package in this tree."""
+against the package in this tree; each demo prints its pinned bytes."""
 
+import hashlib
 import os
 import pathlib
 import shlex
@@ -15,6 +16,17 @@ from sievelab import cli
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 README = DEMOS.parent / "README.md"
 SRC = pathlib.Path(sievelab.__file__).resolve().parents[1]
+
+# sha256 of each demo's stdout; a change that moves one must say why
+DEMO_STDOUT = {
+    "admissible_tuples.py": "064dfb3bd2b1268bf91dd675f9026710cb5882f4bec9e4791c505e8a811ddaab",
+    "difference_graphs.py": "d6b1f6170d9bf07456b7f008c53b44322e8736397f98bfab67ff375b73d4f97c",
+    "gap_cells.py": "5182cb2798be6b92ed3597e95b3515e9c8b16ec6a1e100f69396fad67ddd568e",
+    "kernel_closed_forms.py": "82dbfcfce898465b82d4088af880086de789b8e69bee1a1a815464b4087c40c4",
+    "prime_tables.py": "c5f1cb7791cbeac379a0ee21af543b059991b19a5c81f27db2438cef0689d07c",
+    "sieve_weights.py": "04f1231c0859ab95ecdd3104e19862b14c40e570832da56d7693cf763b3d3e5f",
+    "workbench_cli.py": "26179934a533ac5fc2d4658639d8071835b827827ebc4623c423e7d10021f679",
+}
 
 
 def readme_block(heading, lang):
@@ -31,6 +43,7 @@ def test_demo_runs(script):
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == DEMO_STDOUT[script.name]
 
 
 def test_readme_quick_taste_runs(capsys):

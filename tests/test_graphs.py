@@ -4,6 +4,7 @@ prime-difference census."""
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -148,8 +149,6 @@ class TestKttSearch:
         assert not res.found and res.exact
 
     def test_two_difference_graph_k22_matches_brute_force(self):
-        from itertools import combinations
-
         for avoid_complement in ({2, 4}, {2, 8}, {4, 6}):
             g = graphs.build_graph(14, lambda m, keep=avoid_complement: m not in keep)
             res = graphs.contains_ktt(g, 2)
@@ -163,6 +162,30 @@ class TestKttSearch:
                 if brute:
                     break
             assert res.found == brute, avoid_complement
+
+    @given(
+        st.integers(2, 12),
+        st.sets(st.integers(1, 11).map(lambda d: 2 * d)),
+        st.booleans(),
+        st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_exact_search_matches_brute_force(self, N, diffs, keep, t):
+        # diffs are the kept differences or the avoided ones, so sparse
+        # graphs without a K_{t,t} are drawn as often as dense ones
+        g = graphs.build_graph(N, (lambda m: m not in diffs) if keep else diffs)
+        res = graphs.contains_ktt(g, t)
+        verts = [int(v) for v in g.vertices]
+        brute = any(
+            all(g.has_edge(x, y) for x in left for y in right)
+            for left in combinations(verts, t)
+            for right in combinations([v for v in verts if v not in left], t)
+        )
+        assert res.exact and res.found == brute
+        if res.found:
+            assert len(res.left) == len(res.right) == t
+            assert not set(res.left) & set(res.right)
+            assert all(g.has_edge(x, y) for x in res.left for y in res.right)
 
     def test_k33_in_dense_graph(self):
         g = graphs.build_graph(30, {8})
