@@ -1,8 +1,8 @@
 """Divisor-sum sieve weights and their moment sums at desk scale.
 
-The weight of n is the sum of lambda_d, a mu-signed multivariate test
-function at the points log d_i / log R, over tuples of pairwise coprime
-divisors d_i | n + h_i.  One cached `Support` per (R, W, params) holds the
+The weight of n is the sum of lambda_d = mu(prod d_i) F(log d_i / log R)
+over divisors d_i | n + h_i, F read through `KernelParams.value` (formula
+in `variational`).  One cached `Support` per (R, W, params) holds the
 Moebius table, the divisors and the one table of lambda, with an exact
 tuple count (a refusal, ResourceBudgetError or CLI exit code 3, names it).
 The d_i of a support tuple are pairwise coprime and coprime to W, so the
@@ -11,12 +11,12 @@ tuple holds on exactly one residue class of n modulo prod(d_i), which
 lambda), cached per Support and offsets, is what the fast paths read:
 `weight` is a per-n lookup in it, and `weight_array` finds each class's
 first grid position (`_place`) and adds lambda along the progression.
-`naive_weight`, which evaluates the test function over the divisors of
-each n + h_i, is the independent oracle.  One grid core sums w^2 over
-each pair of masks of the forms s*n + b that are prime, read off one
-table; the moment sums (n + h) and the mirrored scan (also N - n - h, its
-x sums read off the pair table) share it, and the profile-swap domination
-check reads its masks likewise.
+`naive_weight`, which evaluates F over the divisors of each n + h_i, is
+the independent oracle.  One grid core sums w^2 over each pair of masks
+of the forms s*n + b that are prime, read off one table; the moment sums
+(n + h) and the mirrored scan (also N - n - h, its x sums read off the
+pair table) share it, and the profile-swap domination check reads its
+masks likewise.
 """
 
 from __future__ import annotations
@@ -135,34 +135,6 @@ def make_config(
     )
 
 
-def coordinate_factor(params: KernelParams, t: float) -> float:
-    """One factor of the test function: the integral of the scaled profile
-    from t to its support end cutoff/k; zero once t reaches cutoff/k."""
-    cap = params.coord_cap
-    if t >= cap:
-        return 0.0
-    sk = params.slope * params.k
-    return math.log(
-        (params.base + params.slope * params.cutoff) / (params.base + sk * t)
-    ) / sk
-
-
-def test_function_value(params: KernelParams, ts) -> float:
-    """Product of coordinate factors, hard-capped at coordinate sum 1/base."""
-    if len(ts) != params.k:
-        raise ParameterConditionError(
-            f"expected {params.k} coordinates, got {len(ts)}"
-        )
-    if sum(ts) > params.sum_cap:
-        return 0.0
-    val = 1.0
-    for t in ts:
-        val *= coordinate_factor(params, t)
-        if val == 0.0:
-            return 0.0
-    return val
-
-
 @dataclass(frozen=True, eq=False)
 class Support:
     """The divisor support of the weight for one (R, W, params).
@@ -187,11 +159,10 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
 
     The enumeration takes d from the divisors per coordinate, pruning on
     the running product bound prod(d) <= R, and stores mu(prod(d)) times
-    the test-function value, dropping the tuples where that is 0: two d_i
-    sharing a prime, a coordinate beyond its cap, or a capped sum.  Before
-    it starts, the tuples it would visit are counted (the last coordinate
-    by bisection, each (slots, bound) pair once), and a count over
-    MAX_SUPPORT_TUPLES raises ResourceBudgetError.
+    params.value, dropping the tuples where that is 0 (two d_i sharing a
+    prime, or F zero there).  Before it starts, the tuples it would visit
+    are counted (the last coordinate by bisection, each (slots, bound) pair
+    once), and a count over MAX_SUPPORT_TUPLES raises ResourceBudgetError.
     """
     small = _small_primes(R).tolist()
     mu = np.ones(R + 1, dtype=np.int8)
@@ -228,7 +199,7 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
     def rec(i, prod):
         if i == params.k:
             # mu(prod) is the tuple's sign, and 0 when two d_i share a prime
-            lam = mu_of[prod] * test_function_value(params, ts)
+            lam = mu_of[prod] * params.value(ts)
             if lam != 0.0:
                 out[tuple(tup)] = lam
             return
@@ -248,20 +219,6 @@ def build_support(R: int, W: int, params: KernelParams) -> Support:
 def lambda_tuples(cfg: SieveConfig) -> ItemsView[tuple[int, ...], float]:
     """All divisor tuples carrying a nonzero coefficient, with the values."""
     return cfg.support.coeff.items()
-
-
-def lambda_coeff(cfg: SieveConfig, d) -> float:
-    """Coefficient of one divisor tuple; zero outside the support.
-
-    Support: prod(d_i) <= R, squarefree and coprime to W, so the d_i are
-    pairwise coprime (Maynard 2015); lambda carries the sign mu(prod(d_i)).
-    """
-    d = tuple(int(v) for v in d)
-    if len(d) != cfg.k:
-        raise ParameterConditionError(f"expected {cfg.k} divisors, got {len(d)}")
-    if any(v < 1 for v in d):
-        raise ParameterConditionError("divisors must be >= 1")
-    return cfg.support.coeff.get(d, 0.0)
 
 
 def divisor_class(offsets, d):
@@ -314,8 +271,7 @@ def naive_weight(cfg: SieveConfig, n: int) -> float:
         sign = int(sup.mu[prod])  # 0 when two d_i share a prime
         if sign == 0:
             continue
-        ts = [math.log(d) / log_r for d in tup]
-        total += sign * test_function_value(cfg.params, ts)
+        total += sign * cfg.params.value([math.log(d) / log_r for d in tup])
     return total
 
 
@@ -496,9 +452,9 @@ def tao_domination_check(
     for dt, lam in cfg.support.coeff.items():
         if dt[i] == dt[j] == 1:
             continue
+        ts = [math.log(d) / log_r for d in dt]
         factors = (
-            coordinate_factor(alt_params if c in (i, j) and d > 1 else cfg.params,
-                              math.log(d) / log_r)
+            (alt_params if c in (i, j) and d > 1 else cfg.params).factor(ts[c])
             for c, d in enumerate(dt)
         )
         # lambda is mu(d_1...d_k) times a positive product of factors

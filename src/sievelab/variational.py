@@ -2,8 +2,10 @@
 
 The one-dimensional profile is 1/(base + slope*t) on [0, cutoff] and zero
 outside.  The k-dimensional test function is the product of scaled copies
-profile(k*t_i), restricted to the simplex sum(t_i) <= 1/base.  This module
-holds the closed-form integrals of the profile, the two tail bounds, the
+profile(k*t_i), restricted to the simplex sum(t_i) <= 1/base.  The sieve
+evaluates the F of its coefficients only through KernelParams.factor and
+value, so this module alone knows the formula.  It also holds the
+closed-form integrals of the profile, the two tail bounds, the
 moment-ratio estimates driving the prime-detection bookkeeping, a
 boundary-weighted variant of the second ratio, Monte Carlo cross-checks for
 small k, exact low-dimensional quadrature, and a Fourier-side identity check.
@@ -33,12 +35,12 @@ FREQ_ROWS = 16  # frequency-matrix rows built per pass by _identity_sides_on
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Parameters of the truncated-hyperbola profile and its k-fold product.
+    """The truncated-hyperbola profile and the test function F built on it.
 
     base > 1 is the additive part of the denominator, slope the linear
     growth rate, cutoff the right end of the support.  eta is an inner
     margin retained for reporting only (the smooth-envelope error term);
-    it does not enter any closed form here.
+    it does not enter any closed form here.  factor and value evaluate F.
     """
 
     k: int
@@ -84,6 +86,30 @@ class KernelParams:
         """(1 - cutoff/k)/base; coordinate sums above it form the tail."""
         return (1.0 - self.cutoff / self.k) / self.base
 
+    def factor(self, t: float) -> float:
+        """One factor of F: the integral of the scaled profile from t to its
+        support end coord_cap; zero once t reaches coord_cap."""
+        if t >= self.coord_cap:
+            return 0.0
+        sk = self.slope * self.k
+        top = self.base + self.slope * self.cutoff
+        return math.log(top / (self.base + sk * t)) / sk
+
+    def value(self, ts) -> float:
+        """F at the coordinates ts: the product of the factors, 0 above sum_cap."""
+        if len(ts) != self.k:
+            raise ParameterConditionError(
+                f"expected {self.k} coordinates, got {len(ts)}"
+            )
+        if sum(ts) > self.sum_cap:
+            return 0.0
+        val = 1.0
+        for t in ts:
+            val *= self.factor(t)
+            if val == 0.0:
+                return 0.0
+        return val
+
 
 @dataclass(frozen=True)
 class KernelIntegrals:
@@ -103,13 +129,6 @@ class KernelIntegrals:
     tail2_rel: float
 
     as_dict = report_dict
-
-
-def profile_value(params: KernelParams, t: float) -> float:
-    """The unscaled profile 1/(base + slope*t) for t in [0, cutoff], else 0."""
-    if t < 0 or t > params.cutoff:
-        return 0.0
-    return 1.0 / (params.base + params.slope * t)
 
 
 def closed_forms(params: KernelParams) -> KernelIntegrals:

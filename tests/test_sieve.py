@@ -2,6 +2,7 @@
 definitional oracles, moment-sum accounting, the two-parameter domination
 check, and the mirrored-window scan."""
 
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -82,40 +83,19 @@ class TestConfig:
         assert d["params"]["k"] == 3
 
 
-class TestFactors:
-    def test_factor_is_tail_integral_of_hyperbola(self):
-        # the factor at t equals the integral of 1/(base + slope*k*u) over
-        # [t, cutoff/k]; check against quadrature at assorted points
-        p = KernelParams(k=3, base=1.3, slope=4.0, cutoff=1.7)
-        cap = p.coord_cap
-        for t in (0.0, 0.1, 0.3, cap / 2, cap * 0.95):
-            ref, _ = quad(lambda u: 1.0 / (p.base + p.slope * p.k * u), t, cap)
-            assert sieve.coordinate_factor(p, t) == pytest.approx(ref, abs=1e-12)
-
-    def test_factor_vanishes_at_cap(self):
-        p = KernelParams(k=2, base=1.5, slope=2.0, cutoff=1.0)
-        assert sieve.coordinate_factor(p, p.coord_cap) == 0.0
-        assert sieve.coordinate_factor(p, p.coord_cap + 0.2) == 0.0
-        assert sieve.coordinate_factor(p, p.coord_cap - 1e-9) > 0.0
-
-    def test_factor_decreasing(self):
-        p = KernelParams(k=4, base=1.2, slope=6.0, cutoff=2.0)
-        ts = np.linspace(0, p.coord_cap * 0.999, 40)
-        vals = [sieve.coordinate_factor(p, t) for t in ts]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_value_is_product_until_capped(self):
-        p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
-        ts = [0.1, 0.2, 0.3]
-        expect = math.prod(sieve.coordinate_factor(p, t) for t in ts)
-        assert sieve.test_function_value(p, ts) == pytest.approx(expect, rel=1e-15)
-        # push the sum over 1/base and the value dies
-        assert sieve.test_function_value(p, [0.4, 0.4, 0.2]) == 0.0
-
-    def test_value_checks_arity(self):
-        p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
-        with pytest.raises(ParameterConditionError, match="coordinates"):
-            sieve.test_function_value(p, [0.1, 0.2])
+def brute_mu(d, W):
+    """Moebius by trial division, zero where d shares a prime with W."""
+    if d == 0 or math.gcd(d, W) != 1:
+        return 0
+    sign, q = 1, 2
+    while q * q <= d:
+        if d % q == 0:
+            d //= q
+            if d % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if d > 1 else sign
 
 
 class TestSupportAndCoeffs:
@@ -129,26 +109,12 @@ class TestSupportAndCoeffs:
             out.append(d)
         return tuple(out)
 
-    def brute_mu(self, d, W):
-        """Moebius by trial division, zero where d shares a prime with W."""
-        if d == 0 or math.gcd(d, W) != 1:
-            return 0
-        sign, q = 1, 2
-        while q * q <= d:
-            if d % q == 0:
-                d //= q
-                if d % q == 0:
-                    return 0
-                sign = -sign
-            q += 1
-        return -sign if d > 1 else sign
-
     def test_support_against_brute(self):
         p = KernelParams(k=1, base=1.1, slope=3.0, cutoff=0.9)
         for R, W in [(30, 210), (130, 210), (60, 30), (200, 2310), (1, 210)]:
             sup = sieve.build_support(R, W, p)
             assert sup.divisors == self.brute_support(R, W)
-            assert sup.mu.tolist() == [self.brute_mu(d, W) for d in range(R + 1)]
+            assert sup.mu.tolist() == [brute_mu(d, W) for d in range(R + 1)]
             assert not sup.mu.flags.writeable
 
     def test_support_excludes_squares(self):
@@ -158,31 +124,31 @@ class TestSupportAndCoeffs:
 
     def test_coeff_zero_outside_support(self):
         cfg = rich_config()
-        assert sieve.lambda_coeff(cfg, (4, 1, 1)) == 0.0  # not squarefree
-        assert sieve.lambda_coeff(cfg, (cfg.R + 1, 1, 1)) == 0.0  # beyond R
-        assert sieve.lambda_coeff(cfg, (7, 1, 1)) == 0.0  # shares a factor with W
+        coeff = cfg.support.coeff
+        assert coeff.get((4, 1, 1), 0.0) == 0.0  # not squarefree
+        assert coeff.get((cfg.R + 1, 1, 1), 0.0) == 0.0  # beyond R
+        assert coeff.get((7, 1, 1), 0.0) == 0.0  # shares a factor with W
         big = cfg.support.divisors[-1]
-        assert sieve.lambda_coeff(cfg, (big, big, 1)) == 0.0  # product beyond R
+        assert coeff.get((big, big, 1), 0.0) == 0.0  # product beyond R
 
     def test_coeff_sign_follows_moebius(self):
         cfg = rich_config()
         log_r = math.log(cfg.R)
-        one = sieve.lambda_coeff(cfg, (1, 1, 1))
-        assert one == pytest.approx(
-            sieve.test_function_value(cfg.params, [0.0, 0.0, 0.0]), rel=1e-15
-        )
-        v11 = sieve.lambda_coeff(cfg, (11, 1, 1))
-        expect = -sieve.test_function_value(
-            cfg.params, [math.log(11) / log_r, 0.0, 0.0]
-        )
+        one = cfg.support.coeff.get((1, 1, 1), 0.0)
+        assert one == pytest.approx(cfg.params.value([0.0, 0.0, 0.0]), rel=1e-15)
+        v11 = cfg.support.coeff.get((11, 1, 1), 0.0)
+        expect = -cfg.params.value([math.log(11) / log_r, 0.0, 0.0])
         assert v11 == pytest.approx(expect, rel=1e-14)
 
     def test_coeff_matches_enumeration(self):
+        # each stored lambda is mu(prod d_i) * F at log d_i / log R, bit for bit
         cfg = rich_config()
         enum = dict(sieve.lambda_tuples(cfg))
-        assert len(enum) > 20
-        for tup, lam in list(enum.items())[::5]:
-            assert sieve.lambda_coeff(cfg, tup) == lam
+        assert len(enum) > 20 and enum == dict(cfg.support.coeff)
+        log_r = math.log(cfg.R)
+        for tup, lam in enum.items():
+            ts = [math.log(d) / log_r for d in tup]
+            assert lam == brute_mu(math.prod(tup), cfg.W) * cfg.params.value(ts) != 0
 
     def test_visit_count_is_exact(self):
         cfg = rich_config()
@@ -224,10 +190,10 @@ class TestSupportAndCoeffs:
         # 2101 = 11 * 191 and 2123 = 11 * 193
         n, log_r = 2101, math.log(cfg.R)
         divs = [[d for d in range(1, cfg.R + 1) if (n + h) % d == 0
-                 and self.brute_mu(d, cfg.W) != 0] for h in cfg.offsets]
+                 and brute_mu(d, cfg.W) != 0] for h in cfg.offsets]
         expect = sum(
-            self.brute_mu(d1 * d2, cfg.W) * sieve.test_function_value(
-                p, [math.log(d1) / log_r, math.log(d2) / log_r])
+            brute_mu(d1 * d2, cfg.W)
+            * p.value([math.log(d1) / log_r, math.log(d2) / log_r])
             for d1 in divs[0] for d2 in divs[1]
             if d1 * d2 <= cfg.R and math.gcd(d1, d2) == 1
         )
@@ -235,13 +201,6 @@ class TestSupportAndCoeffs:
         _, _, w = sieve.weight_array(cfg, n, n, restrict=False)
         for got in (sieve.weight(cfg, n), sieve.naive_weight(cfg, n), w[0]):
             assert got == pytest.approx(expect, abs=1e-12)
-
-    def test_coeff_arity_and_positivity_checks(self):
-        cfg = rich_config()
-        with pytest.raises(ParameterConditionError):
-            sieve.lambda_coeff(cfg, (1, 1))
-        with pytest.raises(ParameterConditionError):
-            sieve.lambda_coeff(cfg, (0, 1, 1))
 
 
 class TestDivisorClasses:
@@ -333,7 +292,7 @@ class TestWeightPaths:
 
     def test_trivial_support_gives_constant_weight(self):
         cfg = sieve.make_config(10**6)  # R=31, cap excludes every prime > 7
-        lam0 = sieve.lambda_coeff(cfg, (1, 1, 1))
+        lam0 = cfg.support.coeff.get((1, 1, 1), 0.0)
         assert lam0 > 0
         for n in (11, 221, 5051):
             assert sieve.weight(cfg, n) == pytest.approx(lam0, rel=1e-15)
@@ -385,6 +344,104 @@ class TestWeightPaths:
         )
 
 
+PIN_CONFIGS = {
+    "rich": rich_config(),
+    "offsets 0,22": rich_config(N=10**7, offsets=(0, 22), cutoff=1.9),
+    "k6": rich_config(N=10**6, delta=0.33, offsets=(0, 4, 6, 10, 12, 16), cutoff=5.7),
+    "acceptance 06": rich_config(N=10**7, delta=0.25, base=1.01, slope=1.0, cutoff=3.0),
+    # coord_cap = log 41 / log R, below the sum cap: (41, 1, 1) sits on the cap
+    "cap on 41": rich_config(cutoff=3 * math.log(41) / math.log(130)),
+}
+
+
+class TestBitPin:
+    """sha256 of the exact bits of lambda and of the oracle's weights.  Every
+    pinned output prints floats at %.12g, which cannot see a one-ulp move."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("rich",
+         "412817629ad9e945c68f589dfb685e9bc8a58780321fc033b6c9180d6ab54ae9"),
+        ("offsets 0,22",
+         "482a96b9e89bce22aa6e065d0d90e2110031d5f70ca327f885f6a387ad8ec5aa"),
+        ("k6",
+         "50d326890ecacd53a2b18d24da385838dc84d5f2fd58be5e317ec7cef903648d"),
+        ("acceptance 06",
+         "440771c72d0932f702176f3d97bc374ab2ef94ea0809c280ad4c1204eba82302"),
+        ("cap on 41",
+         "a036684a33dfaa6ccd3514ba00b5e756782c06f7aa7d962845e6da1fdee771ba"),
+    ])
+    def test_lambda_and_naive_weight_bits(self, name, digest):
+        cfg = PIN_CONFIGS[name]
+        h = hashlib.sha256()
+        for tup, lam in sieve.lambda_tuples(cfg):
+            h.update(f"{tup} {lam.hex()}\n".encode())
+        for n in range(1, 400):
+            h.update(f"{n} {sieve.naive_weight(cfg, n).hex()}\n".encode())
+        assert h.hexdigest() == digest
+
+    def test_cap_config_puts_a_coordinate_on_the_cap(self):
+        cfg = PIN_CONFIGS["cap on 41"]
+        t = math.log(41) / math.log(cfg.R)
+        assert cfg.R == 130 and cfg.params.coord_cap == t < cfg.params.sum_cap
+        assert (41, 1, 1) not in cfg.support.coeff  # F is 0 from the cap on
+
+    def test_domination_check_bits(self, monkeypatch):
+        # the report and the placed lambda - lambda_alt; alt's coordinate cap
+        # lies below its sum cap, so alt's cap test decides some factors
+        placed = []
+        real_place = sieve._place
+
+        def spy(*args):
+            placed.append(real_place(*args))
+            return placed[-1]
+
+        monkeypatch.setattr(sieve, "_place", spy)
+        alt = KernelParams(k=3, base=1.4, slope=5.0, cutoff=1.8)
+        assert alt.coord_cap < alt.sum_cap
+        rep = sieve.tao_domination_check(PIN_CONFIGS["rich"], alt, 0, 2, 1, 3000)
+        (diff,) = placed
+        h = hashlib.sha256(repr(rep).encode())
+        h.update(" ".join(v.hex() for v in diff.tolist()).encode())
+        assert h.hexdigest() == (
+            "f9ef66a11134e81288d14ba52bb4a59532b4c3669bc72ce0545eecd63ad929e9"
+        )
+
+
+class FlatF(KernelParams):
+    """F = 1 at every coordinate tuple: lambda_d is mu(prod d_i) alone."""
+
+    def value(self, ts):
+        return 1.0
+
+
+class TestFunctionSeam:
+    def test_every_weight_path_reads_f_through_params(self):
+        # with F = 1 the weight is an integer Moebius sum, exact in floats
+        cfg = rich_config()
+        flat = FlatF(k=3, base=1.1, slope=3.0, cutoff=2.9)
+        # unequal to a plain KernelParams with the same fields, so that
+        # build_support's cache keeps a Support for each
+        assert vars(flat) == vars(cfg.params) and flat != cfg.params
+        flat_cfg = replace(cfg, params=flat)
+        assert len(cfg.support.coeff) == 58 and len(flat_cfg.support.coeff) == 82
+        lo, hi = 1, 3000
+        start, step, w = sieve.weight_array(flat_cfg, lo, hi, restrict=False)
+        assert (start, step, len(w)) == (lo, 1, hi - lo + 1)
+        ones = 0
+        for n, w_n in zip(range(lo, hi + 1), w.tolist()):
+            per_coord = [[d for d in range(1, cfg.R + 1) if (n + h) % d == 0
+                          and brute_mu(d, cfg.W) != 0] for h in cfg.offsets]
+            expect = sum(brute_mu(math.prod(t), cfg.W)
+                         for t in itertools.product(*per_coord)
+                         if math.prod(t) <= cfg.R)
+            assert w_n == sieve.weight(flat_cfg, n) == sieve.naive_weight(flat_cfg, n)
+            assert w_n == expect
+            if all(n + h > cfg.R and trial_division_prime(n + h) for h in cfg.offsets):
+                assert w_n == 1.0
+                ones += 1
+        assert ones == 23
+
+
 def trial_division_prime(v):
     """Primality of any integer v by trial division: below 2 is not prime."""
     return v >= 2 and all(v % p for p in range(2, math.isqrt(v) + 1))
@@ -402,7 +459,7 @@ def naive_hybrid_weight(cfg, n, alt, i, j):
             continue
         sign = math.prod(int(sup.mu[d]) for d in tup)
         total += sign * math.prod(
-            sieve.coordinate_factor(alt if c in (i, j) and d > 1 else cfg.params, t)
+            (alt if c in (i, j) and d > 1 else cfg.params).factor(t)
             for c, (d, t) in enumerate(zip(tup, ts))
         )
     return total
@@ -702,8 +759,7 @@ class TestTaoDomination:
         for dt, lam in sieve.lambda_tuples(cfg):
             sign = math.prod(int(cfg.support.mu[d]) for d in dt)
             val = math.prod(
-                sieve.coordinate_factor(alt if c in (0, 2) else cfg.params,
-                                        math.log(d) / log_r)
+                (alt if c in (0, 2) else cfg.params).factor(math.log(d) / log_r)
                 for c, d in enumerate(dt)
             )
             bad.append((*sieve.divisor_class(cfg.offsets, dt), lam - sign * val))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -14,12 +15,12 @@ from sievelab.variational import (
     _gauss_legendre,
     _identity_sides_on,
     _pair_mass_grid,
+    _scaled_profile,
     closed_forms,
     constrained_minimizer_ratio,
     fourier_identity_sides,
     fourier_kernel_check,
     moment_ratios,
-    profile_value,
     projection_ratio_exact,
     report,
     schedule_params,
@@ -107,16 +108,57 @@ class TestKernelParams:
 
 class TestProfile:
     def test_endpoint_values(self):
+        # profile(k*t) at k = 2: its support is [0, cutoff/k] = [0, 1]
         p = KernelParams(k=2, base=2.0, slope=1.0, cutoff=2.0)
-        assert profile_value(p, 0.0) == 0.5
-        assert profile_value(p, 2.0) == 0.25
-        assert profile_value(p, 3.0) == 0.0
-        assert profile_value(p, -0.5) == 0.0
+        vals = _scaled_profile(p, np.array([0.0, 1.0, 1.5, -0.25]))
+        assert vals.tolist() == [0.5, 0.25, 0.0, 0.0]
 
     def test_monotone_decreasing_on_support(self):
         p = KernelParams(k=3, base=1.5, slope=4.0, cutoff=1.0)
-        vals = [profile_value(p, t) for t in np.linspace(0, 1, 30)]
+        vals = _scaled_profile(p, np.linspace(0, p.coord_cap, 30))
+        assert np.all(vals[:-1] > vals[1:])
+
+
+class TestFactors:
+    def test_factor_is_tail_integral_of_hyperbola(self):
+        # the factor at t equals the integral of 1/(base + slope*k*u) over
+        # [t, cutoff/k]; check against quadrature at assorted points
+        p = KernelParams(k=3, base=1.3, slope=4.0, cutoff=1.7)
+        cap = p.coord_cap
+        for t in (0.0, 0.1, 0.3, cap / 2, cap * 0.95):
+            ref, _ = quad(lambda u: 1.0 / (p.base + p.slope * p.k * u), t, cap)
+            assert p.factor(t) == pytest.approx(ref, abs=1e-12)
+
+    def test_factor_vanishes_at_cap(self):
+        p = KernelParams(k=2, base=1.5, slope=2.0, cutoff=1.0)
+        assert p.factor(p.coord_cap) == 0.0
+        assert p.factor(p.coord_cap + 0.2) == 0.0
+        assert p.factor(p.coord_cap - 1e-9) > 0.0
+        # slope*k*(cutoff/k) need not round to slope*cutoff, so the formula
+        # alone can leave a +-1e-17 factor at the cap; at k = 3 several do
+        for k, cutoff in itertools.product(range(1, 13), (0.4, 0.9, 1.8, 2.1, 2.9)):
+            for base, slope in ((1.1, 3.0), (1.4, 5.0), (1.01, 1.0), (2.0, 10.0)):
+                p = KernelParams(k=k, base=base, slope=slope, cutoff=cutoff)
+                assert p.factor(p.coord_cap) == 0.0
+
+    def test_factor_decreasing(self):
+        p = KernelParams(k=4, base=1.2, slope=6.0, cutoff=2.0)
+        ts = np.linspace(0, p.coord_cap * 0.999, 40)
+        vals = [p.factor(t) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_value_is_product_until_capped(self):
+        p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
+        ts = [0.1, 0.2, 0.3]
+        expect = math.prod(p.factor(t) for t in ts)
+        assert p.value(ts) == pytest.approx(expect, rel=1e-15)
+        # push the sum over 1/base and the value dies
+        assert p.value([0.4, 0.4, 0.2]) == 0.0
+
+    def test_value_checks_arity(self):
+        p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
+        with pytest.raises(ParameterConditionError, match="coordinates"):
+            p.value([0.1, 0.2])
 
 
 class TestClosedForms:
