@@ -18,9 +18,6 @@ print("97 prime?", 97 in table, "| 91 prime?", 91 in table)
 window = primes.sieve_range(10**12, 10**12 + 200)
 print("\nfirst primes past 10^12:", window.primes[:4].tolist())
 
-# Largest prime factors come by trial division, with no table.
-print("\nlargest prime factor of 600851475143:", primes.largest_prime_factor(600851475143))
-
 # Sums of two primes: every even number >= 4 in range appears, and the
 # consecutive-value gaps never exceed 2 at this scale.
 rep = primes.goldbach_gaps(10**4)

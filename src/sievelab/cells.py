@@ -200,9 +200,7 @@ class CellStatReport:
     """Windowed sum of the occupancy-minus-collision statistic.
 
     Per position the statistic is (number of occupied cells) - m - (number
-    of ordered pairs of distinct primes sharing a cell); summed as-is when
-    unweighted, or against caller-supplied squared weights as a labeled
-    substitute for the original weighting.
+    of ordered pairs of distinct primes sharing a cell), summed unweighted.
     """
 
     lo: int
@@ -211,8 +209,7 @@ class CellStatReport:
     total: float
     n_positive: int
     best_n: int | None
-    weighted: bool
-    label: str
+    label: str = "indicator form; original weighting out of scope"
 
     as_dict = report_dict
 
@@ -221,7 +218,6 @@ def cell_statistic_sum(
     part: CellPartition,
     lo: int,
     hi: int,
-    weight_fn=None,
     modulus: int | None = None,
     residue: int = 0,
 ) -> CellStatReport:
@@ -229,20 +225,13 @@ def cell_statistic_sum(
 
     The statistic at n is (occupied cells) - m - (ordered distinct prime
     pairs inside a cell); a positive value forces at least m + 1 singleton
-    cells at that n.  weight_fn(n) -> w multiplies each term by w^2 and
-    marks the report as a weighted substitute.
+    cells at that n.
     """
     ns, per_cell = _cell_count_matrix(part, lo, hi, modulus, residue)
-    label = "indicator form; original weighting out of scope"
     occupied = (per_cell > 0).sum(axis=0)
     pairs = (per_cell * (per_cell - 1)).sum(axis=0)
     stat = occupied - part.m - pairs
-    if weight_fn is None:
-        weights2 = np.ones(len(ns))
-    else:
-        weights2 = np.array([float(weight_fn(n)) ** 2 for n in ns])
-        label = "weighted substitute; squared caller weights, not the original"
-    total = float(np.dot(stat, weights2))
+    total = float(stat.sum())
     positive = np.flatnonzero(stat > 0)
     best_n = ns[int(positive[np.argmax(stat[positive])])] if len(positive) else None
     return CellStatReport(
@@ -252,8 +241,6 @@ def cell_statistic_sum(
         total=total,
         n_positive=int(len(positive)),
         best_n=best_n,
-        weighted=weight_fn is not None,
-        label=label,
     )
 
 

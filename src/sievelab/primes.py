@@ -368,27 +368,3 @@ def primorial(bound: float) -> int:
                     f"{n}, over PRIMORIAL_BITS = {PRIMORIAL_BITS}; lower --w-bound"
                 )
     return prod
-
-
-def largest_prime_factor(m: int) -> int:
-    """Largest prime factor of m >= 1, with the convention that 1 maps to 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return 1
-    best = 1
-    for d in (2, 3):
-        while m % d == 0:
-            best = d
-            m //= d
-    d = 5
-    while d * d <= m:
-        for step in (0, 2):  # 6k-1, 6k+1
-            dd = d + step
-            while m % dd == 0:
-                best = dd
-                m //= dd
-        d += 6
-    if m > 1:
-        best = max(best, m)
-    return best

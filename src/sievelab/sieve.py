@@ -442,6 +442,10 @@ def tao_domination_check(
     above R, so the weights must match exactly there.  lambda - lambda_alt,
     over the Support tuples where they differ, is placed on the grid
     [lo, hi] and read at those n: any nonzero entry is a violation.
+
+    The hybrid multiplies factor(t) of cfg.params and alt_params, so the
+    check assumes F is that product, as KernelParams.value computes it: a
+    subclass that overrides value alone gets a hybrid of mixed factors.
     """
     if i == j or not (0 <= i < cfg.k and 0 <= j < cfg.k):
         raise ParameterConditionError(f"need distinct indices below {cfg.k}")

@@ -114,9 +114,8 @@ class SurfingStep:
 class SurfingTrace:
     k: int
     m: int  # number of primes <= 2k
-    ell0: int  # starting size 3^m * k
     steps: tuple[SurfingStep, ...]
-    ell_sequence: tuple[int, ...]  # l_0, l_1, ..., l_final
+    ell_sequence: tuple[int, ...]  # l_0 = 3^m * k, l_1, ..., l_final
     x: tuple[int, ...]  # k survivors from the first set
     y: tuple[int, ...]  # k survivors from the second set
 
@@ -208,7 +207,6 @@ def surfing(u, t, k: int) -> SurfingTrace:
     trace = SurfingTrace(
         k=k,
         m=m,
-        ell0=ell_seq[0],
         steps=tuple(steps),
         ell_sequence=tuple(ell_seq),
         x=x,

@@ -29,7 +29,7 @@ from .reportio import report_dict
 GRADED_NODES = 32
 MC_BATCHES = 20  # simplex_mc_integrals batch means behind each stderr
 PAIR_GRID = 257  # _pair_mass_grid nodes
-FREQ_MAX = 200.0  # fourier_identity_sides truncates to |xi| <= FREQ_MAX
+FREQ_MAX = 200.0  # _identity_sides_on truncates to |xi| <= FREQ_MAX
 FREQ_ROWS = 16  # frequency-matrix rows built per pass by _identity_sides_on
 
 
@@ -223,14 +223,12 @@ def constrained_minimizer_ratio(params: KernelParams) -> float:
     return core * (bulk_weight + rel1 * tail_weight)
 
 
-def schedule_params(
-    k: int, c: float = 1.0, psi: float | Callable[[int], float] | None = None
-) -> KernelParams:
+def schedule_params(k: int, c: float = 1.0, psi: float | None = None) -> KernelParams:
     """Large-k parameter schedule: base = 1/psi(k), slope = base^2 * log k,
     cutoff chosen so log_ratio = log k - c*log log k exactly.
 
     psi defaults to 1/log log k, which forces k >= 16 so that base > 1.
-    A custom psi may be a value in (0, 1) or a callable of k.
+    A custom psi is a value in (0, 1).
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ParameterConditionError(f"k must be an integer >= 2, got {k}")
@@ -244,7 +242,7 @@ def schedule_params(
             )
         psi_val = 1.0 / loglog
     else:
-        psi_val = psi(k) if callable(psi) else float(psi)
+        psi_val = float(psi)
         if not 0 < psi_val < 1:
             raise ParameterConditionError(f"psi(k) must lie in (0, 1), got {psi_val}")
     base = 1.0 / psi_val
@@ -554,7 +552,14 @@ FOURIER_TEST_FUNCTIONS = {
 
 
 def _identity_sides_on(n_freq: int) -> Callable:
-    """(f, f_prime) -> both sides of the identity on the n_freq-node grid.
+    """(f, f_prime) -> both sides of the frequency-domain energy identity.
+
+    The transform uses the exponentially tilted function e^t f(t), so that
+    f(t) = integral of hat(xi) * exp(-t(1 + i*xi)); the weighted double
+    frequency integral with kernel (1+i*xi)(1+i*xi')/(2+i*xi+i*xi') then
+    reproduces the time-domain energy of f'.  The left side is truncated to
+    |xi| <= FREQ_MAX on an n_freq-node Gauss-Legendre grid, the right side is
+    a Gauss-Legendre rule of 256 nodes on each half of [0, 1].
 
     The phase matrix depends only on the grid, so it is built once here and
     shared by every function passed to the result.  Each call then holds one
@@ -590,21 +595,6 @@ def _identity_sides_on(n_freq: int) -> Callable:
         return lhs, rhs
 
     return sides
-
-
-def fourier_identity_sides(
-    f: Callable, f_prime: Callable, n_freq: int = 1200
-) -> tuple[float, float]:
-    """Evaluate both sides of the frequency-domain energy identity.
-
-    The transform uses the exponentially tilted function e^t f(t), so that
-    f(t) = integral of hat(xi) * exp(-t(1 + i*xi)); the weighted double
-    frequency integral with kernel (1+i*xi)(1+i*xi')/(2+i*xi+i*xi') then
-    reproduces the time-domain energy of f'.  Both sides are returned, the
-    left truncated to |xi| <= FREQ_MAX on an n_freq-node Gauss-Legendre
-    grid, the right a Gauss-Legendre rule of 256 nodes on each half of [0, 1].
-    """
-    return _identity_sides_on(n_freq)(f, f_prime)
 
 
 @dataclass(frozen=True)

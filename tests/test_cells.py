@@ -377,14 +377,6 @@ class TestCellStatistic:
                 count += 1
         assert rep.n_positive == count
 
-    def test_weighted_substitute_labeled(self):
-        part = self.part6()
-        plain = cells.cell_statistic_sum(part, 5, 800)
-        weighted = cells.cell_statistic_sum(part, 5, 800, weight_fn=lambda n: 2.0)
-        assert not plain.weighted and plain.label.startswith("indicator")
-        assert weighted.weighted and "substitute" in weighted.label
-        assert weighted.total == pytest.approx(4 * plain.total)
-
     def test_restricted_sum(self):
         part = self.part6()
         rep = cells.cell_statistic_sum(part, 5, 2000, modulus=30, residue=11)

@@ -569,6 +569,10 @@ PINNED_STDOUT = {
         "9550aa67a885e07d2e1a286100ab1005b5ae8b4d0b7d0624007d7b72c950fe1c",
     "goldbach-scan --N 2000 --tuple=-2,0 --allow-small-window":
         "2ebbecdf3e4ad00b3c435d9875378d24ccbefa891b58012fc86987f551f7c461",
+    # a scan whose weight is not constant: R = 86, 25 tuples in the support
+    # of the mirrored 6-point union
+    "goldbach-scan --N 2e4 --delta 0.45 --tuple 0,2,6 --base 1.05 --slope 3 --cutoff 4":
+        "69ea2f43d2bc54f4ce7030cb04bbc2c0ab54b9cc30300871af6667cd342a2d06",
 }
 
 

@@ -23,7 +23,7 @@ DEMO_STDOUT = {
     "difference_graphs.py": "d6b1f6170d9bf07456b7f008c53b44322e8736397f98bfab67ff375b73d4f97c",
     "gap_cells.py": "5182cb2798be6b92ed3597e95b3515e9c8b16ec6a1e100f69396fad67ddd568e",
     "kernel_closed_forms.py": "82dbfcfce898465b82d4088af880086de789b8e69bee1a1a815464b4087c40c4",
-    "prime_tables.py": "c5f1cb7791cbeac379a0ee21af543b059991b19a5c81f27db2438cef0689d07c",
+    "prime_tables.py": "71460f55edbe0976f2593177071a7a40992237a158113a1683b88e817cbb8319",
     "sieve_weights.py": "04f1231c0859ab95ecdd3104e19862b14c40e570832da56d7693cf763b3d3e5f",
     "workbench_cli.py": "26179934a533ac5fc2d4658639d8071835b827827ebc4623c423e7d10021f679",
 }

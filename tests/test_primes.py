@@ -19,7 +19,6 @@ from sievelab.primes import (
     gap_counts,
     goldbach_gaps,
     goldbach_numbers,
-    largest_prime_factor,
     normalized_gaps,
     primorial,
     sieve_range,
@@ -534,30 +533,3 @@ def test_primorial_overflow_names_prime(monkeypatch):
         primorial(7)
     monkeypatch.setattr(primes, "PRIMORIAL_BITS", 8)
     assert primorial(7) == 210
-
-
-def test_largest_prime_factor_values():
-    assert largest_prime_factor(1) == 1
-    assert largest_prime_factor(12) == 3
-    assert largest_prime_factor(9_699_690) == 19
-    assert largest_prime_factor(2) == 2
-    assert largest_prime_factor(97) == 97
-    with pytest.raises(ValueError):
-        largest_prime_factor(0)
-
-
-def test_largest_prime_factor_against_spf_walk():
-    for n in range(2, 5000, 37):
-        m, largest = n, 1
-        for d in range(2, n + 1):
-            while m % d == 0:
-                m, largest = m // d, d
-        assert largest_prime_factor(n) == largest
-
-
-@given(st.integers(min_value=2, max_value=10**6))
-@settings(max_examples=60, deadline=None)
-def test_largest_prime_factor_divides_and_is_prime(n):
-    p = largest_prime_factor(n)
-    assert n % p == 0
-    assert all(p % d for d in range(2, math.isqrt(p) + 1))
