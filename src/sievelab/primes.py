@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,16 +34,21 @@ _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = np.gcd(np.arange(1, 30030, 2), math.prod(_WHEEL_PRIMES)) == 1
 
 
+@lru_cache(maxsize=64)
 def _small_primes(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain in-memory sieve (used for base primes)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    """All primes <= limit by a plain in-memory sieve (used for base primes),
+    as a read-only int64 array cached per limit: sieve_range asks for the
+    same base primes for every hi below the next square."""
+    primes = np.zeros(0, dtype=np.int64)
+    if limit >= 2:
+        mask = np.ones(limit + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        primes = np.flatnonzero(mask).astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
 @dataclass

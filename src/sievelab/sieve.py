@@ -361,7 +361,7 @@ def _w2_gram(w2: np.ndarray, masks, hits) -> list[list[float]]:
         w2_a = w2[idx]
         g[a][a] = float(w2_a.sum())
         for b in range(a + 1, len(masks)):
-            g[a][b] = g[b][a] = float(w2_a[masks[b][idx]].sum())
+            g[a][b] = g[b][a] = float(np.compress(masks[b][idx], w2_a).sum())
     return g
 
 
@@ -528,6 +528,7 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     forms = [(1, h) for h in base] + [(-1, N - h) for h in base]
     w2, masks, gram = _moment_segment(scan_cfg, lo, hi, False, forms)
     sum_w2 = float(w2.sum())
+    # a boolean index: np.compress would first list every active n as an index
     sum_active = float(w2[functools.reduce(np.logical_or, masks)].sum())
     # x(n) hits: x w^2 sums to the Gram's trace, x^2 adds pairs of distinct hits
     sum_xw2 = math.fsum(gram[a][a] for a in range(2 * k))
@@ -541,7 +542,7 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     for i in range(k):
         at = np.flatnonzero(masks[i])  # a gather of the mirrored views, not an AND
         for j in range(k):
-            both = at[masks[k + j][at]]
+            both = np.compress(masks[k + j][at], at)
             witness_count += both.size
             if both.size and witness is None:
                 witness = (lo + int(both[0]), base[i], base[j])

@@ -543,7 +543,7 @@ PINNED_STDOUT = {
     "density --limit 1e5 --max-diff 1000":
         "c1585e5200792d861da26388507a0f2b64955e2d6732c2a1efcb1485869a8737",
     "variational --k 3 --fourier-check":
-        "16de4dbc549118e6d9900f1c238c52476e410246c89da2fc9d744f5bcff79f57",
+        "d5cb5e47c6d18843dee88266c90ca8a119302e8b63869bccfb0dad2fb58113e9",
     "variational --k 20 --psi loglog":
         "ad700c94400148778761719fac6bd9a7d40968c2461242e9afd49d410aedab10",
     "gaps --beta 0.1,0.5,1.2,2.0 --gap-limit 1e4":

@@ -22,7 +22,7 @@ DEMO_STDOUT = {
     "admissible_tuples.py": "064dfb3bd2b1268bf91dd675f9026710cb5882f4bec9e4791c505e8a811ddaab",
     "difference_graphs.py": "d6b1f6170d9bf07456b7f008c53b44322e8736397f98bfab67ff375b73d4f97c",
     "gap_cells.py": "5182cb2798be6b92ed3597e95b3515e9c8b16ec6a1e100f69396fad67ddd568e",
-    "kernel_closed_forms.py": "82dbfcfce898465b82d4088af880086de789b8e69bee1a1a815464b4087c40c4",
+    "kernel_closed_forms.py": "07868653786b8f178aa8084245c68f6d7a31fc548337c612cde8a52d3ef74a0a",
     "prime_tables.py": "71460f55edbe0976f2593177071a7a40992237a158113a1683b88e817cbb8319",
     "sieve_weights.py": "04f1231c0859ab95ecdd3104e19862b14c40e570832da56d7693cf763b3d3e5f",
     "workbench_cli.py": "26179934a533ac5fc2d4658639d8071835b827827ebc4623c423e7d10021f679",

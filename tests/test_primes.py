@@ -197,6 +197,14 @@ def test_two_is_the_only_even_prime():
     assert evens.tolist() == [2]
 
 
+def test_base_primes_are_cached_read_only():
+    # every sieve_range with 5930 <= hi <= 6241 reads the primes up to 77
+    base = primes._small_primes(77)
+    assert primes._small_primes(77) is base and not base.flags.writeable
+    assert base.tolist() == _trial_primes(77)
+    assert primes._small_primes(1).tolist() == []
+
+
 def test_sieve_budget_error_names_budget(monkeypatch):
     # refused before any allocation, naming the constant and its value
     with pytest.raises(ResourceBudgetError, match="DEFAULT_SIEVE_BUDGET = 200000000;"):
