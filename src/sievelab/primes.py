@@ -73,7 +73,7 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         """Sorted int64 primes in [lo, hi): the odd cells, 2 first when set."""
         o0 = self.lo | 1
-        idx = np.flatnonzero(self.is_prime[o0 - self.lo :: 2])
+        idx = self.is_prime[o0 - self.lo :: 2].nonzero()[0]  # no contiguous copy
         at = int(2 in self)
         out = np.empty(at + idx.size, dtype=np.int64) if at else idx
         out[:at] = 2
@@ -102,6 +102,17 @@ class PrimeTable:
         view = self.is_prime[first - self.lo :: step][:count]
         view.flags.writeable = False
         return view
+
+    def hits(self, first: int, step: int, count: int) -> np.ndarray:
+        """The ascending j at which along(first, step, count) holds: by
+        bisection of primes for a unit step, else by a scan of that mask
+        (short on a W-strided grid), so a strided reader never lists."""
+        if abs(step) != 1:
+            return np.flatnonzero(self.along(first, step, count))
+        low = min(first, first + step * max(count - 1, 0))
+        primes = self.primes
+        p = primes[primes.searchsorted(low) : primes.searchsorted(low + count)]
+        return p - first if step == 1 else (first - p)[::-1]
 
     def count(self) -> int:
         return int(np.count_nonzero(self.is_prime))
@@ -165,28 +176,25 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     return PrimeTable(lo=lo, is_prime=is_p)
 
 
-def form_masks(forms, start: int, step: int, count: int):
-    """(masks, hits) on the grid n = start + j*step, j < count: masks[a][j]
-    is whether s*n + b is prime, (s, b) = forms[a], each an along view of
-    one table over [least value read, greatest value read].  hits yields
-    each mask's ascending j on demand: by bisection of the table's primes
-    for a unit step, else by a scan of the mask (short on a W-strided
-    grid), so a reader of the masks alone never lists primes."""
+def form_reads(forms, start: int, step: int, count: int):
+    """(table, reads) for the forms s*n + b on the grid n = start + j*step,
+    j < count: reads[a] = (first, d), the value at j = 0 and its step, so
+    form a reads table.along(first, d, count), and the one table spans
+    [least value read, greatest value read]."""
     reads = [(s * start + b, s * step) for s, b in forms]
     last = max(count - 1, 0)
     ends = [first + j * d for first, d in reads for j in (0, last)]
-    table = sieve_range(min(ends), max(ends) + 1)
+    return sieve_range(min(ends), max(ends) + 1), reads
+
+
+def form_masks(forms, start: int, step: int, count: int):
+    """(masks, hits) on the grid n = start + j*step, j < count: masks[a][j]
+    is whether s*n + b is prime, (s, b) = forms[a], each an along view of
+    form_reads' one table.  hits yields each mask's ascending j on demand
+    (PrimeTable.hits), so a reader of the masks alone never lists primes."""
+    table, reads = form_reads(forms, start, step, count)
     masks = [table.along(first, d, count) for first, d in reads]
-
-    def hits(read, mask):
-        first, d = read
-        if abs(d) != 1:
-            return np.flatnonzero(mask)
-        low, primes = min(first, first + d * last), table.primes
-        p = primes[primes.searchsorted(low) : primes.searchsorted(low + count)]
-        return p - first if d == 1 else (first - p)[::-1]
-
-    return masks, map(hits, reads, masks)
+    return masks, (table.hits(first, d, count) for first, d in reads)
 
 
 def goldbach_numbers(limit: int) -> np.ndarray:

@@ -16,7 +16,10 @@ the independent oracle.  One grid core sums w^2 over each pair of masks
 of the forms s*n + b that are prime, read off one table; the moment sums
 (n + h) and the mirrored scan (also N - n - h, its x sums read off the
 pair table) share it, and the profile-swap domination check reads its
-masks likewise.
+masks likewise.  The core holds no window-length weight array: it walks
+numpy's pairwise-summation tree over the grid, places, squares and sums
+one leaf of at most BLOCK points at a time, and keeps w^2 only at the
+hits, so every sum has the bits of the sum over the whole array.
 """
 
 from __future__ import annotations
@@ -25,23 +28,25 @@ import bisect
 import functools
 import itertools
 import math
+import threading
 from collections.abc import ItemsView
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ParameterConditionError, ResourceBudgetError
-from .primes import _small_primes, form_masks, primorial
+from .primes import _small_primes, form_masks, form_reads, primorial
 from .reportio import report_dict
 from .tuples import OffsetTuple, as_tuple, is_admissible, mirror_union
-from .variational import KernelParams
+from .variational import KernelParams, pairwise_sum
 
 MAX_SUPPORT_TUPLES = 5_000_000
 MAX_MOMENT_SPAN = 400_000_000
 SUPPORT_CACHE_SIZE = 32
-BLOCK = 1 << 17  # weight_array grid points per pass: 1 MB of float64
+BLOCK = 1 << 17  # grid points placed per pass (a grid core leaf at most): 1 MB of float64
 MOMENT_SEGMENT = 1 << 21  # moment_sums n-values per segment
 
 
@@ -275,19 +280,31 @@ def naive_weight(cfg: SieveConfig, n: int) -> float:
     return total
 
 
+def _progressions(classes, start: int, step: int) -> list:
+    """(first, m, c) for each (a, m, c) in classes: on the grid n = start +
+    j*step the class holds at j = first mod m, first = (a - start) *
+    step^-1 mod m, as each m is coprime to step (W or 1)."""
+    return [((a - start) * pow(step, -1, m) % m, m, c) for a, m, c in classes]
+
+
+def _fill(out: np.ndarray, progressions, j0: int) -> np.ndarray:
+    """out[i] = sum of c over the progressions that hold at j = j0 + i,
+    added from 0 in their order, so a value has the same bits whichever
+    run of the grid out covers."""
+    out.fill(0.0)
+    for first, m, c in progressions:
+        out[(first - j0) % m :: m] += c
+    return out
+
+
 def _place(classes, start: int, step: int, count: int) -> np.ndarray:
     """values[j] = sum of c over the (a, m, c) in classes with n = a mod m,
-    at n = start + j*step (j < count).  Each m is coprime to step (W or 1),
-    so a class holds at the grid positions j = first mod m, first = (a -
-    start) * step^-1 mod m.  The values are added block by block (BLOCK
-    points, cache-resident), in the given order inside each block, so
-    values[j] is bit-identical to a whole-array pass."""
-    progressions = [((a - start) * pow(step, -1, m) % m, m, c) for a, m, c in classes]
-    w = np.zeros(count)
+    at n = start + j*step (j < count), filled BLOCK points (cache-resident)
+    at a time."""
+    progressions = _progressions(classes, start, step)
+    w = np.empty(count)
     for b in range(0, count, BLOCK):
-        block = w[b : b + BLOCK]
-        for first, stride, c in progressions:
-            block[(first - b) % stride :: stride] += c
+        _fill(w[b : b + BLOCK], progressions, b)
     return w
 
 
@@ -350,30 +367,161 @@ class MomentReport:
         return math.fsum(self.prime_sq_sums) - (m - 1) * self.sum_w2
 
 
-def _w2_gram(w2: np.ndarray, masks, hits) -> list[list[float]]:
+class _Scratch(threading.local):
+    """Per-thread buffers that the grid core reuses from one segment to
+    the next, so that malloc neither returns their pages nor faults them
+    back in."""
+
+    def take(self, dtype: str, sizes) -> list[np.ndarray]:
+        """Buffers of dtype with the given sizes, laid end to end in one
+        array that grows only when too short."""
+        held = self.__dict__.get(dtype)
+        if held is None or held.size < sum(sizes):
+            held = self.__dict__[dtype] = np.empty(sum(sizes), dtype)
+        ends = itertools.accumulate(sizes)
+        return [held[end - n : end] for n, end in zip(sizes, ends)]
+
+
+def _w2_gram(gathered, masks, hits) -> list[list[float]]:
     """g[a][b] = sum of w2 where masks a and b both hold (g[a][a]: mask a
-    alone), each unordered pair summed once.  hits yields each mask's hit
-    positions in turn, ascending; w2 gathered there once and read through
-    the other mask holds the same elements in the same order as
-    w2[m_a & m_b], so every entry is bit-identical to that sum."""
-    g = [[0.0] * len(masks) for _ in masks]
-    for a, idx in enumerate(hits):
-        w2_a = w2[idx]
+    alone), each unordered pair summed once.  gathered[a] is w2 at mask a's
+    hits, ascending, and hits yields those hit positions in turn; read
+    through another mask, gathered[a] keeps the elements of w2[m_a & m_b]
+    in their order, so every entry is bit-identical to that sum."""
+    k = len(masks)
+    g = [[0.0] * k for _ in masks]
+    for a, w2_a in enumerate(gathered):
         g[a][a] = float(w2_a.sum())
-        for b in range(a + 1, len(masks)):
-            g[a][b] = g[b][a] = float(np.compress(masks[b][idx], w2_a).sum())
+    for a, idx in zip(range(k - 1), hits):  # the last mask's hits are not read
+        for b in range(a + 1, k):
+            g[a][b] = g[b][a] = float(gathered[a].compress(masks[b][idx]).sum())
     return g
 
 
-def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms):
-    """The grid core: (w^2, masks, Gram) on weight_array's grid over [lo, hi],
-    the masks read by form_masks and the Gram from _w2_gram.  The masks are
-    read first, so a table over the sieve budget is refused before the
-    weights, which grow with the window, are placed."""
-    masks, hits = form_masks(forms, *_grid(cfg, lo, hi, restrict))
-    _, _, w = weight_array(cfg, lo, hi, restrict=restrict)
-    np.square(w, out=w)
-    return w, masks, _w2_gram(w, masks, hits)
+class _LeafStream:
+    """numpy's sum of an array of n values that arrive in order, holding one
+    leaf: pairwise_sum cuts n into leaves of at most BLOCK values, each is
+    summed once filled, and total() adds those sums along the same tree.  An
+    n of at most BLOCK is one leaf, which may stop short of n."""
+
+    def __init__(self, n: int, buf: np.ndarray):
+        self.n, self.buf, self.fill, self.sums = n, buf, 0, []
+        self.leaves = pairwise_sum(n, lambda lo, m: [m], _leaf_stop)
+
+    def extend(self, values: np.ndarray) -> None:
+        while values.size:
+            room = self.leaves[len(self.sums)] - self.fill
+            part, values = values[:room], values[room:]
+            end = self.fill + part.size
+            self.buf[self.fill : end] = part
+            self.fill = end
+            if end == self.leaves[len(self.sums)]:
+                self.sums.append(self.buf[:end].sum())
+                self.fill = 0
+
+    def total(self) -> float:
+        if len(self.leaves) == 1:  # filled up to n, or short of it
+            return float(self.sums[0] if self.sums else self.buf[: self.fill].sum())
+        sums = iter(self.sums)
+        return float(pairwise_sum(self.n, lambda lo, m: next(sums), _leaf_stop))
+
+
+def _leaf_stop(lo: int, n: int) -> bool:
+    """Where the grid core's walks stop: a range of at most BLOCK values."""
+    return n <= BLOCK
+
+
+class _Segment(NamedTuple):
+    """The grid core's result on one grid: hits(a) lists mask a's hits."""
+
+    count: int
+    sum_w2: float
+    masks: list
+    hits: Callable[[int], np.ndarray]
+    gram: list[list[float]]
+    sum_active: float | None  # w^2 summed where some mask holds
+
+
+def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
+                    scratch: _Scratch, active: bool = False) -> _Segment:
+    """The grid core on weight_array's grid over [lo, hi], the masks read
+    by form_reads and the Gram from _w2_gram; sum_active only with active.
+
+    The masks are read first, so a table over the sieve budget is refused
+    before any weight is placed.  w^2 is never held whole: the grid is cut
+    along numpy's summation tree (pairwise_sum) into leaves of at most
+    BLOCK points, each placed (_fill) in one buffer, squared and summed, so
+    sum of w^2 has the bits of the whole array's sum.  From each leaf, w^2
+    at each mask's hits (PrimeTable.hits) is copied into one buffer per
+    mask, in order, and the later masks are read at those hits, so numpy's
+    sums of those buffers are the Gram of the whole-array gathers, bit for
+    bit; a window of one leaf gathers whole and keeps its hits.  With
+    active, w^2 wherever some mask holds is gathered likewise, through a
+    _LeafStream when there are several leaves (a first pass over the hits
+    counts its length when that may exceed one leaf).  The buffers come
+    from scratch.
+    """
+    start, step, count = _grid(cfg, lo, hi, restrict)
+    table, reads = form_reads(forms, start, step, count)
+    masks = [table.along(first, d, count) for first, d in reads]
+    classes = _classes(cfg.support, cfg.offsets.offsets) if count else ()
+    progressions = _progressions(classes, start, step)
+    # a leaf has at most BLOCK points, or numpy's own 128 if BLOCK is smaller
+    n_leaf = min(count, max(BLOCK, 128))
+    one_leaf = count == n_leaf  # then its gathers are whole and need no buffer
+    if one_leaf:
+        hits = [table.hits(first, d, count) for first, d in reads]
+        sizes = [len(idx) for idx in hits]
+    else:
+        hits, sizes = None, [int(np.count_nonzero(m)) for m in masks]
+    hit = np.empty(n_leaf if active else 0, dtype=bool)
+
+    def leaf_hits(j0: int, n: int) -> list:
+        """Each mask's hits in [j0, j0 + n); with active, all marked in hit."""
+        out = hits if one_leaf else [table.hits(first + j0 * d, d, n) for first, d in reads]
+        if active:
+            hit[:n] = False
+            for idx in out:
+                hit[idx] = True
+        return out
+
+    n_active = min(count, sum(sizes)) if active and not one_leaf else 0
+    if n_active > BLOCK:  # the active sum's leaves depend on its length
+        n_active = 0
+        for j0 in range(0, count, n_leaf):
+            n = min(n_leaf, count - j0)
+            leaf_hits(j0, n)
+            n_active += int(np.count_nonzero(hit[:n]))
+    per_mask = [0] * len(sizes) if one_leaf else sizes
+    w, *gathered, buf = scratch.take("float64", [n_leaf, *per_mask, min(n_active, n_leaf)])
+    stream, filled, whole_active = _LeafStream(n_active, buf), [0] * len(masks), []
+
+    def leaf(j0: int, n: int) -> float:
+        w2 = _fill(w[:n], progressions, j0)
+        np.square(w2, out=w2)
+        for a, idx in enumerate(leaf_hits(j0, n)):
+            if one_leaf:
+                gathered[a] = w2[idx]
+            else:
+                w2.take(idx, out=gathered[a][filled[a] : filled[a] + len(idx)], mode="clip")
+                filled[a] += len(idx)
+        if active and one_leaf:
+            whole_active.append(w2[hit[:n]])
+        elif active:
+            stream.extend(w2[hit[:n]])
+        return w2.sum()
+
+    sum_w2 = float(pairwise_sum(count, leaf, _leaf_stop))
+
+    def mask_hits(a: int) -> np.ndarray:
+        """Mask a's hits: the one leaf's, else listed again."""
+        return hits[a] if one_leaf else table.hits(*reads[a], count)
+
+    gram = _w2_gram(gathered, masks, map(mask_hits, range(len(masks))))
+    sum_active = None
+    if active:
+        sum_active = float(whole_active[0].sum()) if one_leaf else stream.total()
+    return _Segment(count, sum_w2, masks, mask_hits, gram, sum_active)
 
 
 def moment_sums(
@@ -397,9 +545,11 @@ def moment_sums(
     bounds = list(range(lo, hi + 1, MOMENT_SEGMENT)) + [hi + 1]
     jobs = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
 
+    forms, scratch = [(1, h) for h in cfg.offsets], _Scratch()
+
     def segment(ab):
-        w2, _, gram = _moment_segment(cfg, *ab, restrict, [(1, h) for h in cfg.offsets])
-        return len(w2), float(w2.sum()), gram
+        seg = _moment_segment(cfg, *ab, restrict, forms, scratch)
+        return seg.count, seg.sum_w2, seg.gram
 
     with ThreadPoolExecutor(max_workers=threads) as ex:
         parts = list(ex.map(segment, jobs))
@@ -440,8 +590,9 @@ def tao_domination_check(
     The hybrid agrees with the original on every tuple with d_i = d_j = 1,
     the only tuples that reach an n with n + h_i and n + h_j both prime and
     above R, so the weights must match exactly there.  lambda - lambda_alt,
-    over the Support tuples where they differ, is placed on the grid
-    [lo, hi] and read at those n: any nonzero entry is a violation.
+    over the Support tuples where they differ, is placed on [lo, hi] one
+    BLOCK of n at a time and read at those n: any nonzero entry is a
+    violation.
 
     The hybrid multiplies factor(t) of cfg.params and alt_params, so the
     check assumes F is that product, as KernelParams.value computes it: a
@@ -473,11 +624,15 @@ def tao_domination_check(
     # both entries must also exceed R: n > R - min(h_i, h_j)
     cand[: max(0, cfg.R - min(h_i, h_j) + 1 - lo)] = False
     checked = np.flatnonzero(cand)
-    diff = np.abs(_place(swapped, lo, 1, n_scanned)[checked])
+    violations, max_abs = 0, 0.0
+    for b in range(0, n_scanned, BLOCK):  # the difference, one block at a time
+        at = checked[checked.searchsorted(b) : checked.searchsorted(b + BLOCK)] - b
+        diff = np.abs(_place(swapped, lo + b, 1, min(BLOCK, n_scanned - b))[at])
+        violations += int(np.count_nonzero(diff))
+        max_abs = max(max_abs, float(diff.max(initial=0.0)))
     return TaoCheckReport(
         n_lo=lo, n_hi=hi, index_pair=(i, j), n_scanned=n_scanned,
-        n_checked=len(checked), violations=int(np.count_nonzero(diff)),
-        max_abs_diff=float(diff.max(initial=0.0)),
+        n_checked=len(checked), violations=violations, max_abs_diff=max_abs,
     )
 
 
@@ -526,10 +681,8 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     base, k = cfg.offsets.offsets, cfg.k
     # the base block reads n + h, the mirrored block N - n - h
     forms = [(1, h) for h in base] + [(-1, N - h) for h in base]
-    w2, masks, gram = _moment_segment(scan_cfg, lo, hi, False, forms)
-    sum_w2 = float(w2.sum())
-    # a boolean index: np.compress would first list every active n as an index
-    sum_active = float(w2[functools.reduce(np.logical_or, masks)].sum())
+    seg = _moment_segment(scan_cfg, lo, hi, False, forms, _Scratch(), active=True)
+    sum_w2, masks, gram, sum_active = seg.sum_w2, seg.masks, seg.gram, seg.sum_active
     # x(n) hits: x w^2 sums to the Gram's trace, x^2 adds pairs of distinct hits
     sum_xw2 = math.fsum(gram[a][a] for a in range(2 * k))
     pairs = [0.0, 0.0]  # ordered pairs inside one block, across the blocks
@@ -540,7 +693,7 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     cs = sum_xw2**2 <= sum_active * sum_x2w2 * (1 + 1e-12) + 1e-300
     witness, witness_count = None, 0
     for i in range(k):
-        at = np.flatnonzero(masks[i])  # a gather of the mirrored views, not an AND
+        at = seg.hits(i)  # a gather of the mirrored views, not an AND
         for j in range(k):
             both = np.compress(masks[k + j][at], at)
             witness_count += both.size

@@ -2,9 +2,12 @@
 definitional oracles, moment-sum accounting, the two-parameter domination
 check, and the mirrored-window scan."""
 
+import functools
 import hashlib
 import itertools
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -548,12 +551,14 @@ class TestBlockedKernels:
         _, _, w = whole_array_weights(cfg, lo, hi, restrict=False)
         w2 = w * w
         ref = mask_and_gram(w2, masks)
-        assert sieve._w2_gram(w2, masks, iter(hits)) == ref
-        assert sieve._w2_gram(w2, masks, map(np.flatnonzero, masks)) == ref
+        gathered = [w2[idx] for idx in hits]
+        assert sieve._w2_gram(gathered, masks, iter(hits)) == ref
+        assert sieve._w2_gram(gathered, masks, map(np.flatnonzero, masks)) == ref
         # the grid core end to end, against both oracles
-        core_w2, core_masks, gram = sieve._moment_segment(cfg, lo, hi, False, forms)
-        assert np.array_equal(core_w2, w2) and gram == ref
-        assert all(map(np.array_equal, core_masks, masks))
+        seg = sieve._moment_segment(cfg, lo, hi, False, forms, sieve._Scratch())
+        assert (seg.count, seg.sum_w2) == (len(w2), float(w2.sum())) and seg.gram == ref
+        assert all(map(np.array_equal, seg.masks, masks))
+        assert all(np.array_equal(seg.hits(a), idx) for a, idx in enumerate(hits))
 
     @pytest.mark.parametrize("lo, hi", [(1, 3000), (1, 200000)])
     def test_restricted_segment_equals_oracles(self, lo, hi):
@@ -564,9 +569,49 @@ class TestBlockedKernels:
         w2 = w * w
         masks = [table.along(start + h, step, len(w)) for h in (-2, 0, 4)]
         forms = [(1, h) for h in (-2, 0, 4)]
-        core_w2, core_masks, gram = sieve._moment_segment(cfg, lo, hi, True, forms)
-        assert np.array_equal(core_w2, w2) and gram == mask_and_gram(w2, masks)
-        assert all(map(np.array_equal, core_masks, masks))
+        seg = sieve._moment_segment(cfg, lo, hi, True, forms, sieve._Scratch())
+        assert (seg.count, seg.sum_w2) == (len(w2), float(w2.sum()))
+        assert seg.gram == mask_and_gram(w2, masks)
+        assert all(map(np.array_equal, seg.masks, masks))
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_streamed_sums_equal_whole_array_sums(self, monkeypatch, case, block, mirrored):
+        # the core walks numpy's summation tree over leaves of at most BLOCK
+        # points, so the sum of w^2, each Gram entry and the active sum keep
+        # the bits of the sums over the whole arrays
+        if block is not None:
+            monkeypatch.setattr(sieve, "BLOCK", block)
+        cfg, lo, hi, restrict = WINDOW_CASES[case]
+        start, step, w = whole_array_weights(cfg, lo, hi, restrict)
+        self.check_streamed_sums(cfg, lo, hi, restrict, start, step, w, mirrored)
+
+    def test_streamed_sums_across_default_blocks(self):
+        # about 3.1 BLOCKs of n, and an active set of more than one BLOCK
+        cfg = rich_config(N=10**6, delta=0.4)
+        lo, hi = 10**5, 10**5 + 3 * sieve.BLOCK + 12345
+        start, step, w = whole_array_weights(cfg, lo, hi, restrict=False)
+        active = self.check_streamed_sums(cfg, lo, hi, False, start, step, w, True)
+        assert active > sieve.BLOCK
+
+    @staticmethod
+    def check_streamed_sums(cfg, lo, hi, restrict, start, step, w, mirrored):
+        """The grid core against whole-array sums; returns the active count."""
+        forms = [(1, h) for h in cfg.offsets]
+        if mirrored:  # descending reads, as the Goldbach scan's
+            forms += [(-1, lo + hi + 10 - h) for h in cfg.offsets]
+        last = max(len(w) - 1, 0)
+        values = [s * (start + j * step) + b for s, b in forms for j in (0, last)]
+        table = sieve_range(min(values), max(values) + 1)
+        masks = [table.along(s * start + b, s * step, len(w)) for s, b in forms]
+        w2 = w * w
+        active = functools.reduce(np.logical_or, masks)
+        seg = sieve._moment_segment(cfg, lo, hi, restrict, forms, sieve._Scratch(), active=True)
+        assert (seg.count, seg.sum_w2) == (len(w2), float(w2.sum()))
+        assert seg.gram == mask_and_gram(w2, masks)
+        assert seg.sum_active == float(w2[active].sum())
+        return int(np.count_nonzero(active))
 
     @pytest.mark.parametrize("forms, start, count", [
         ([(1, 0), (-1, 100), (-1, 3000)], 1, 3000),  # values below 2 read False
@@ -670,6 +715,38 @@ class TestMomentSums:
             assert other.sum_w2 == reps[0].sum_w2
             assert other.prime_sq_sums == reps[0].prime_sq_sums
             assert other.pair_sq_sums == reps[0].pair_sq_sums
+
+    def test_one_segment_holds_no_window_length_weight_array(self):
+        # the k = 3 sieve-window config over one unrestricted segment of
+        # 2^21 n: tracemalloc peaks measured 10.6 MB here and 23.9 MB with
+        # a whole-segment w^2 (16.8 MB) placed
+        p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
+        cfg = sieve.make_config(2 * 10**7, delta=0.25, offsets=(0, 2, 6), params=p)
+        sieve.moment_sums(cfg, 1, 1000, restrict=False)  # the support is cached
+        tracemalloc.start()
+        try:
+            sieve.moment_sums(cfg, 1, sieve.MOMENT_SEGMENT, restrict=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+
+    def test_workers_gather_into_their_own_buffers(self, monkeypatch):
+        # each worker thread reuses its own scratch buffers from segment to
+        # segment: with more workers than cores, segments of several leaves
+        # and a short switch interval, a buffer shared between workers
+        # would mix their gathers and move the totals
+        monkeypatch.setattr(sieve, "BLOCK", 64)
+        monkeypatch.setattr(sieve, "MOMENT_SEGMENT", 1000)
+        cfg = rich_config()
+        ref = sieve.moment_sums(cfg, 1, 20000, restrict=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reps = [sieve.moment_sums(cfg, 1, 20000, restrict=False, threads=8) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rep == ref for rep in reps)
 
     def test_thread_count_below_one_is_the_pools_error(self):
         # the CLI refuses --threads 0 itself; a library caller gets the pool's error
@@ -978,6 +1055,21 @@ class TestGoldbachScan:
         for name, value in expect.items():
             assert getattr(rep, name) == pytest.approx(value, rel=1e-12), name
         assert rep.witness_count > 0 and same > 0 and mixed > 0
+
+    def test_scan_holds_no_window_length_weight_array(self):
+        # goldbach-scan --N 4e6 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff
+        # 2.9: tracemalloc peaks measured 17.7 MB here and 26.9 MB with the
+        # window's w^2 (16 MB) and its active gather placed whole
+        p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
+        cfg = sieve.make_config(4 * 10**6, delta=0.25, offsets=(0, 2, 6), params=p)
+        sieve.goldbach_window_scan(cfg, N=1000)  # the union's support is cached
+        tracemalloc.start()
+        try:
+            sieve.goldbach_window_scan(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21e6
 
     def test_cauchy_schwarz_and_hit_accounting(self):
         _, rep = self.scan()
