@@ -16,10 +16,12 @@ the independent oracle.  One grid core sums w^2 over each pair of masks
 of the forms s*n + b that are prime, read off one table; the moment sums
 (n + h) and the mirrored scan (also N - n - h, its x sums read off the
 pair table) share it, and the profile-swap domination check reads its
-masks likewise.  The core holds no window-length weight array: it walks
-numpy's pairwise-summation tree over the grid, places, squares and sums
-one leaf of at most BLOCK points at a time, and keeps w^2 only at the
-hits, so every sum has the bits of the sum over the whole array.
+masks likewise.  The core holds no window-length weight array: it places,
+squares and sums one leaf of BLOCK points at a time, keeps w^2 only at
+the hits, and merges the leaf sums by math.fsum.  So the bits of a sum are
+fixed by BLOCK and MOMENT_SEGMENT, not by numpy's internal summation loop,
+and an fsum of leaf sums has an error bound no larger than numpy's
+pairwise sum of the whole array.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from .errors import ParameterConditionError, ResourceBudgetError
 from .primes import _small_primes, form_masks, form_reads, primorial
 from .reportio import report_dict
 from .tuples import OffsetTuple, as_tuple, is_admissible, mirror_union
-from .variational import KernelParams, pairwise_sum
+from .variational import KernelParams
 
 MAX_SUPPORT_TUPLES = 5_000_000
 MAX_MOMENT_SPAN = 400_000_000
 SUPPORT_CACHE_SIZE = 32
-BLOCK = 1 << 17  # grid points placed per pass (a grid core leaf at most): 1 MB of float64
+BLOCK = 1 << 17  # grid points placed per pass, and the grid core's leaf: 1 MB of float64
 MOMENT_SEGMENT = 1 << 21  # moment_sums n-values per segment
 
 
@@ -398,39 +400,6 @@ def _w2_gram(gathered, masks, hits) -> list[list[float]]:
     return g
 
 
-class _LeafStream:
-    """numpy's sum of an array of n values that arrive in order, holding one
-    leaf: pairwise_sum cuts n into leaves of at most BLOCK values, each is
-    summed once filled, and total() adds those sums along the same tree.  An
-    n of at most BLOCK is one leaf, which may stop short of n."""
-
-    def __init__(self, n: int, buf: np.ndarray):
-        self.n, self.buf, self.fill, self.sums = n, buf, 0, []
-        self.leaves = pairwise_sum(n, lambda lo, m: [m], _leaf_stop)
-
-    def extend(self, values: np.ndarray) -> None:
-        while values.size:
-            room = self.leaves[len(self.sums)] - self.fill
-            part, values = values[:room], values[room:]
-            end = self.fill + part.size
-            self.buf[self.fill : end] = part
-            self.fill = end
-            if end == self.leaves[len(self.sums)]:
-                self.sums.append(self.buf[:end].sum())
-                self.fill = 0
-
-    def total(self) -> float:
-        if len(self.leaves) == 1:  # filled up to n, or short of it
-            return float(self.sums[0] if self.sums else self.buf[: self.fill].sum())
-        sums = iter(self.sums)
-        return float(pairwise_sum(self.n, lambda lo, m: next(sums), _leaf_stop))
-
-
-def _leaf_stop(lo: int, n: int) -> bool:
-    """Where the grid core's walks stop: a range of at most BLOCK values."""
-    return n <= BLOCK
-
-
 class _Segment(NamedTuple):
     """The grid core's result on one grid: hits(a) lists mask a's hits."""
 
@@ -449,79 +418,61 @@ def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
 
     The masks are read first, so a table over the sieve budget is refused
     before any weight is placed.  w^2 is never held whole: the grid is cut
-    along numpy's summation tree (pairwise_sum) into leaves of at most
-    BLOCK points, each placed (_fill) in one buffer, squared and summed, so
-    sum of w^2 has the bits of the whole array's sum.  From each leaf, w^2
-    at each mask's hits (PrimeTable.hits) is copied into one buffer per
-    mask, in order, and the later masks are read at those hits, so numpy's
-    sums of those buffers are the Gram of the whole-array gathers, bit for
-    bit; a window of one leaf gathers whole and keeps its hits.  With
-    active, w^2 wherever some mask holds is gathered likewise, through a
-    _LeafStream when there are several leaves (a first pass over the hits
-    counts its length when that may exceed one leaf).  The buffers come
-    from scratch.
+    into leaves of BLOCK points, each placed (_fill) in one buffer, squared
+    and summed by np.sum, and the sum of w^2 is the math.fsum of those leaf
+    sums, so its bits are fixed by BLOCK (and, in moment_sums, by
+    MOMENT_SEGMENT), with an error bound no larger than that of one np.sum
+    of the whole array.  From each leaf, w^2 at each mask's hits
+    (PrimeTable.hits) is copied into one buffer per mask, in order, and the
+    later masks are read at those hits, so numpy's sums of those buffers are
+    the Gram of the whole-array gathers, bit for bit; a window of one leaf
+    gathers whole and keeps its hits.  With active, w^2 wherever some mask
+    holds is summed per leaf and the leaf sums merged by math.fsum likewise.
+    The buffers come from scratch.
     """
     start, step, count = _grid(cfg, lo, hi, restrict)
     table, reads = form_reads(forms, start, step, count)
     masks = [table.along(first, d, count) for first, d in reads]
     classes = _classes(cfg.support, cfg.offsets.offsets) if count else ()
     progressions = _progressions(classes, start, step)
-    # a leaf has at most BLOCK points, or numpy's own 128 if BLOCK is smaller
-    n_leaf = min(count, max(BLOCK, 128))
+    n_leaf = min(count, BLOCK)
     one_leaf = count == n_leaf  # then its gathers are whole and need no buffer
     if one_leaf:
         hits = [table.hits(first, d, count) for first, d in reads]
-        sizes = [len(idx) for idx in hits]
+        per_mask = [0] * len(hits)
     else:
-        hits, sizes = None, [int(np.count_nonzero(m)) for m in masks]
+        per_mask = [int(np.count_nonzero(m)) for m in masks]
+    w, *gathered = scratch.take("float64", [n_leaf, *per_mask])
     hit = np.empty(n_leaf if active else 0, dtype=bool)
+    filled = [0] * len(masks)
 
-    def leaf_hits(j0: int, n: int) -> list:
-        """Each mask's hits in [j0, j0 + n); with active, all marked in hit."""
-        out = hits if one_leaf else [table.hits(first + j0 * d, d, n) for first, d in reads]
-        if active:
-            hit[:n] = False
-            for idx in out:
-                hit[idx] = True
-        return out
-
-    n_active = min(count, sum(sizes)) if active and not one_leaf else 0
-    if n_active > BLOCK:  # the active sum's leaves depend on its length
-        n_active = 0
-        for j0 in range(0, count, n_leaf):
-            n = min(n_leaf, count - j0)
-            leaf_hits(j0, n)
-            n_active += int(np.count_nonzero(hit[:n]))
-    per_mask = [0] * len(sizes) if one_leaf else sizes
-    w, *gathered, buf = scratch.take("float64", [n_leaf, *per_mask, min(n_active, n_leaf)])
-    stream, filled, whole_active = _LeafStream(n_active, buf), [0] * len(masks), []
-
-    def leaf(j0: int, n: int) -> float:
+    def leaf(j0: int, n: int) -> tuple:
+        """w^2 on [j0, j0 + n) gathered at the hits; its sum and active sum."""
         w2 = _fill(w[:n], progressions, j0)
         np.square(w2, out=w2)
-        for a, idx in enumerate(leaf_hits(j0, n)):
+        leaf_hits = hits if one_leaf else [table.hits(first + j0 * d, d, n) for first, d in reads]
+        for a, idx in enumerate(leaf_hits):
             if one_leaf:
                 gathered[a] = w2[idx]
             else:
                 w2.take(idx, out=gathered[a][filled[a] : filled[a] + len(idx)], mode="clip")
                 filled[a] += len(idx)
-        if active and one_leaf:
-            whole_active.append(w2[hit[:n]])
-        elif active:
-            stream.extend(w2[hit[:n]])
-        return w2.sum()
+        if not active:
+            return w2.sum(), 0.0
+        hit[:n] = False
+        for idx in leaf_hits:
+            hit[idx] = True
+        return w2.sum(), w2[hit[:n]].sum()
 
-    sum_w2 = float(pairwise_sum(count, leaf, _leaf_stop))
+    sums = [leaf(j0, min(BLOCK, count - j0)) for j0 in range(0, count, BLOCK)]
 
     def mask_hits(a: int) -> np.ndarray:
         """Mask a's hits: the one leaf's, else listed again."""
         return hits[a] if one_leaf else table.hits(*reads[a], count)
 
     gram = _w2_gram(gathered, masks, map(mask_hits, range(len(masks))))
-    sum_active = None
-    if active:
-        sum_active = float(whole_active[0].sum()) if one_leaf else stream.total()
-    return _Segment(count, sum_w2, masks, mask_hits, gram, sum_active)
+    sum_active = math.fsum(s for _, s in sums) if active else None
+    return _Segment(count, math.fsum(s for s, _ in sums), masks, mask_hits, gram, sum_active)
 
 
 def moment_sums(

@@ -30,7 +30,7 @@ GRADED_NODES = 32
 MC_BATCHES = 20  # simplex_mc_integrals batch means behind each stderr
 PAIR_GRID = 257  # _pair_mass_grid nodes
 FREQ_MAX = 200.0  # _identity_sides_on truncates to |xi| <= FREQ_MAX
-FREQ_ROWS = 16  # frequency-matrix rows built per pass by _identity_sides_on
+FREQ_ROWS = 8  # frequency-matrix rows built per pass by _identity_sides_on
 
 
 @dataclass(frozen=True)
@@ -581,24 +581,6 @@ FOURIER_TEST_FUNCTIONS = {
 }
 
 
-def pairwise_sum(n: int, leaf: Callable, stop: Callable, lo: int = 0):
-    """numpy's pairwise sum of a contiguous array of n scalars, leaf by leaf.
-
-    np.sum halves a range of n scalars at n/2 - (n/2 mod 8) until at most
-    128 remain, sums those in its own leaf loop, and adds each pair of
-    halves.  This walks the same tree over the scalars [lo, lo + n) and
-    calls leaf(lo, m) on a range of m scalars once stop(lo, m) holds or the
-    range is one of numpy's own leaves; when leaf returns numpy's sum of
-    that range, the total has the bits of the whole-array sum, while only a
-    leaf need be held.  (A plain recursive function: a nested one would be
-    a reference cycle that keeps leaf's arrays until the next collection.)
-    """
-    if n <= 128 or stop(lo, n):
-        return leaf(lo, n)
-    n2 = n // 2 - (n // 2) % 8
-    return pairwise_sum(n2, leaf, stop, lo) + pairwise_sum(n - n2, leaf, stop, lo + n2)
-
-
 def _identity_sides_on(n_freq: int) -> Callable:
     """(f, f_prime) -> both sides of the frequency-domain energy identity.
 
@@ -611,13 +593,13 @@ def _identity_sides_on(n_freq: int) -> Callable:
 
     The phase matrix depends only on the grid, so it is built once here and
     shared by every function passed to the result: 10.2 MB at the check's
-    1250 frequencies, 19.7 MB at its 2400 clamp.  The left side is the sum
-    of the n_freq x n_freq complex quotient matrix
+    1250 frequencies, 19.7 MB at its 2400 clamp.  The left side is the real
+    part of the sum of the n_freq x n_freq complex quotient matrix
     (1+i xi)(1+i xi') hat hat' / (2+i xi+i xi'), which is never held whole:
-    pairwise_sum walks numpy's tree over its 2 n_freq^2 scalars (two per
-    entry), a range's rows are built once it spans at most FREQ_ROWS rows
-    (or is one of numpy's own leaves), and that slice is summed with
-    np.sum, so the sum has the bits of the whole-matrix sum.
+    it is built FREQ_ROWS rows at a time, each block's real parts summed by
+    np.sum and the block sums merged by math.fsum, so its bits are fixed by
+    FREQ_ROWS, with an error bound no larger than that of one np.sum of
+    the matrix.
     """
     nodes, weights = _gauss_legendre(512)
     ts = 0.5 * (nodes + 1.0)  # [0, 1]
@@ -632,27 +614,19 @@ def _identity_sides_on(n_freq: int) -> Callable:
     half, half_w = _gauss_legendre(256)
     t = 0.25 * (half + 1.0)  # [0, 0.5], then shifted onto [0.5, 1]
 
-    def rows(lo: int, m: int) -> tuple[int, int]:
-        """The matrix rows that hold the scalars [lo, lo + m)."""
-        return lo // 2 // n_freq, ((lo + m) // 2 - 1) // n_freq + 1
-
-    def quotient_sum(u: np.ndarray) -> complex:
-        def leaf(lo: int, m: int) -> complex:
-            r0, r1 = rows(lo, m)
-            block = np.multiply.outer(u[r0:r1], u) / np.add.outer(a[r0:r1], a)
-            return block.ravel()[lo // 2 - r0 * n_freq : (lo + m) // 2 - r0 * n_freq].sum()
-
-        def stop(lo: int, m: int) -> bool:
-            r0, r1 = rows(lo, m)
-            return r1 - r0 <= FREQ_ROWS
-
-        return pairwise_sum(2 * n_freq * n_freq, leaf, stop)
+    def quotient_sum(u: np.ndarray) -> float:
+        sums = []
+        for r in range(0, n_freq, FREQ_ROWS):
+            block = np.multiply.outer(u[r : r + FREQ_ROWS], u)
+            block /= np.add.outer(a[r : r + FREQ_ROWS], a)  # in place: two arrays, not three
+            sums.append(block.real.sum())
+        return math.fsum(sums)
 
     def sides(f: Callable, f_prime: Callable) -> tuple[float, float]:
         fv = np.asarray(f(ts), dtype=float)
         # hat(xi) = (1/2pi) * integral e^t f(t) e^(i t xi) dt
         hat = phase @ (np.exp(ts) * fv * tw) / (2.0 * np.pi)
-        lhs = float(quotient_sum(a * (xiw * hat)).real)
+        lhs = quotient_sum(a * (xiw * hat))
         fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
         rhs = math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
         return lhs, rhs
@@ -697,7 +671,8 @@ def fourier_kernel_check(
     provenance.  The grid holds one n_freq x 512 complex phase matrix, 10.2 MB
     at the default 1250 frequencies and 19.7 MB at the 2400 clamp; each
     function's left side adds at most FREQ_ROWS rows of its quotient matrix
-    at a time.
+    at a time, and merges the row blocks' sums by math.fsum, so lhs and
+    abs_diff have bits fixed by FREQ_ROWS, not by numpy's summation loop.
     """
     if n_samples < 1:
         raise ParameterConditionError("n_samples must be positive")

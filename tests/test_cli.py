@@ -543,7 +543,7 @@ PINNED_STDOUT = {
     "density --limit 1e5 --max-diff 1000":
         "c1585e5200792d861da26388507a0f2b64955e2d6732c2a1efcb1485869a8737",
     "variational --k 3 --fourier-check":
-        "d5cb5e47c6d18843dee88266c90ca8a119302e8b63869bccfb0dad2fb58113e9",
+        "25af5572b7bf8cc4e74ed141d09e55a886a558d963610c4fd609305faf9633e8",
     "variational --k 20 --psi loglog":
         "ad700c94400148778761719fac6bd9a7d40968c2461242e9afd49d410aedab10",
     "gaps --beta 0.1,0.5,1.2,2.0 --gap-limit 1e4":

@@ -502,12 +502,25 @@ def mask_and_gram(w2, masks):
     return [[float(w2[m_a & m_b].sum()) for m_b in masks] for m_a in masks]
 
 
+def leaf_fsum(w2, keep=None):
+    """Oracle for the grid core's sums: w2 (where keep holds) cut into
+    pieces of sieve.BLOCK grid points, each summed by np.sum, and the piece
+    sums merged by math.fsum."""
+    pieces = range(0, len(w2), sieve.BLOCK)
+    if keep is None:
+        return math.fsum(w2[j : j + sieve.BLOCK].sum() for j in pieces)
+    return math.fsum(w2[j : j + sieve.BLOCK][keep[j : j + sieve.BLOCK]].sum() for j in pieces)
+
+
 WINDOW_CASES = {
     "restricted": (rich_config(), 1, 200000, True),
     "unrestricted": (rich_config(), 5000, 8001, False),
     "negative offsets": (rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4)), 1, 3000, False),
     "negative offsets restricted": (rich_config(N=200000, delta=0.3, offsets=(-2, 0, 4)), 1, 300000, True),
     "one point": (rich_config(), 7000, 7000, False),
+    # one leaf, and two, at BLOCK = 64
+    "64 points": (rich_config(), 5000, 5063, False),
+    "65 points": (rich_config(), 5000, 5064, False),
     "shared prime": (rich_config(delta=0.45, offsets=(0, 22), base=1.01, slope=2.0, cutoff=2.1), 4000, 90000, True),
 }
 
@@ -556,7 +569,7 @@ class TestBlockedKernels:
         assert sieve._w2_gram(gathered, masks, map(np.flatnonzero, masks)) == ref
         # the grid core end to end, against both oracles
         seg = sieve._moment_segment(cfg, lo, hi, False, forms, sieve._Scratch())
-        assert (seg.count, seg.sum_w2) == (len(w2), float(w2.sum())) and seg.gram == ref
+        assert (seg.count, seg.sum_w2) == (len(w2), leaf_fsum(w2)) and seg.gram == ref
         assert all(map(np.array_equal, seg.masks, masks))
         assert all(np.array_equal(seg.hits(a), idx) for a, idx in enumerate(hits))
 
@@ -578,9 +591,9 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("block", [1, 7, 64, None])
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_streamed_sums_equal_whole_array_sums(self, monkeypatch, case, block, mirrored):
-        # the core walks numpy's summation tree over leaves of at most BLOCK
-        # points, so the sum of w^2, each Gram entry and the active sum keep
-        # the bits of the sums over the whole arrays
+        # the core sums leaves of BLOCK points and merges them by math.fsum,
+        # so the sum of w^2 and the active sum have the bits of the leaf_fsum
+        # oracle, and each Gram entry those of the whole-array gather's sum
         if block is not None:
             monkeypatch.setattr(sieve, "BLOCK", block)
         cfg, lo, hi, restrict = WINDOW_CASES[case]
@@ -597,7 +610,9 @@ class TestBlockedKernels:
 
     @staticmethod
     def check_streamed_sums(cfg, lo, hi, restrict, start, step, w, mirrored):
-        """The grid core against whole-array sums; returns the active count."""
+        """The grid core against the leaf_fsum oracle, the whole-array Gram
+        and, within a relative bound, the correctly rounded sums; returns
+        the active count."""
         forms = [(1, h) for h in cfg.offsets]
         if mirrored:  # descending reads, as the Goldbach scan's
             forms += [(-1, lo + hi + 10 - h) for h in cfg.offsets]
@@ -608,9 +623,14 @@ class TestBlockedKernels:
         w2 = w * w
         active = functools.reduce(np.logical_or, masks)
         seg = sieve._moment_segment(cfg, lo, hi, restrict, forms, sieve._Scratch(), active=True)
-        assert (seg.count, seg.sum_w2) == (len(w2), float(w2.sum()))
+        assert (seg.count, seg.sum_w2) == (len(w2), leaf_fsum(w2))
         assert seg.gram == mask_and_gram(w2, masks)
-        assert seg.sum_active == float(w2[active].sum())
+        assert seg.sum_active == leaf_fsum(w2, active)
+        # against math.fsum the largest deviations measured over these cases
+        # are 1.9e-16 (sum of w^2) and 1.6e-16 (active sum); numpy's
+        # whole-array sum of w^2 deviates by up to 1.2e-16 on them
+        assert seg.sum_w2 == pytest.approx(math.fsum(w2), rel=1e-15, abs=0)
+        assert seg.sum_active == pytest.approx(math.fsum(w2[active]), rel=1e-15, abs=0)
         return int(np.count_nonzero(active))
 
     @pytest.mark.parametrize("forms, start, count", [

