@@ -158,7 +158,10 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
     o0, h = lo | 1, hi // 2 - lo // 2
     is_p = np.zeros(n, dtype=bool)  # before the scratch, which keeps peak RSS down
     k = (lo // 2) % _WHEEL.size  # the wheel cell of o0, lo < 0 included
-    odd = np.tile(_WHEEL, -(-(k + h) // _WHEEL.size))[k : k + h]
+    if k + h <= _WHEEL.size:  # one period covers the table
+        odd = _WHEEL[k : k + h].copy()
+    else:
+        odd = np.tile(_WHEEL, -(-(k + h) // _WHEEL.size))[k : k + h]
     odd[: max(0, (3 - o0) // 2)] = False  # the odd values below 2
     odd[[(q - o0) // 2 for q in _WHEEL_PRIMES if lo <= q < hi]] = True
     base = _small_primes(root)

@@ -76,6 +76,12 @@ class SieveConfig:
         """The cached Support of (R, W, params); see build_support."""
         return build_support(self.R, self.W, self.params)
 
+    @functools.cached_property
+    def mirror_params(self) -> KernelParams:
+        """params with k doubled, which weigh goldbach_window_scan's 2k-point
+        mirrored unions; built once per config."""
+        return replace(self.params, k=2 * self.k)
+
     as_dict = report_dict
 
 
@@ -412,9 +418,11 @@ class _Segment(NamedTuple):
 
 
 def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
-                    scratch: _Scratch, active: bool = False) -> _Segment:
-    """The grid core on weight_array's grid over [lo, hi], the masks read
-    by form_reads and the Gram from _w2_gram; sum_active only with active.
+                    params: KernelParams, offsets: tuple[int, ...], scratch: _Scratch,
+                    active: bool = False) -> _Segment:
+    """The grid core on weight_array's grid over [lo, hi], w placed from
+    the class table of (R, W, params) on offsets, the masks read by
+    form_reads and the Gram from _w2_gram; sum_active only with active.
 
     The masks are read first, so a table over the sieve budget is refused
     before any weight is placed.  w^2 is never held whole: the grid is cut
@@ -433,7 +441,7 @@ def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
     start, step, count = _grid(cfg, lo, hi, restrict)
     table, reads = form_reads(forms, start, step, count)
     masks = [table.along(first, d, count) for first, d in reads]
-    classes = _classes(cfg.support, cfg.offsets.offsets) if count else ()
+    classes = _classes(build_support(cfg.R, cfg.W, params), offsets) if count else ()
     progressions = _progressions(classes, start, step)
     n_leaf = min(count, BLOCK)
     one_leaf = count == n_leaf  # then its gathers are whole and need no buffer
@@ -496,10 +504,11 @@ def moment_sums(
     bounds = list(range(lo, hi + 1, MOMENT_SEGMENT)) + [hi + 1]
     jobs = [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
 
-    forms, scratch = [(1, h) for h in cfg.offsets], _Scratch()
+    offsets, scratch = cfg.offsets.offsets, _Scratch()
+    forms = [(1, h) for h in offsets]
 
     def segment(ab):
-        seg = _moment_segment(cfg, *ab, restrict, forms, scratch)
+        seg = _moment_segment(cfg, *ab, restrict, forms, cfg.params, offsets, scratch)
         return seg.count, seg.sum_w2, seg.gram
 
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -627,12 +636,13 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     if N % 2 or N < 8:
         raise ParameterConditionError(f"window target must be even and >= 8, got {N}")
     union = mirror_union(cfg.offsets, N)
-    scan_cfg = replace(cfg, offsets=union, params=replace(cfg.params, k=union.k))
     lo, hi = (N + 1) // 2, N
     base, k = cfg.offsets.offsets, cfg.k
     # the base block reads n + h, the mirrored block N - n - h
     forms = [(1, h) for h in base] + [(-1, N - h) for h in base]
-    seg = _moment_segment(scan_cfg, lo, hi, False, forms, _Scratch(), active=True)
+    seg = _moment_segment(
+        cfg, lo, hi, False, forms, cfg.mirror_params, union.offsets, _Scratch(), active=True
+    )
     sum_w2, masks, gram, sum_active = seg.sum_w2, seg.masks, seg.gram, seg.sum_active
     # x(n) hits: x w^2 sums to the Gram's trace, x^2 adds pairs of distinct hits
     sum_xw2 = math.fsum(gram[a][a] for a in range(2 * k))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,11 @@ from .reportio import report_dict
 GRADED_NODES = 32
 MC_BATCHES = 20  # simplex_mc_integrals batch means behind each stderr
 PAIR_GRID = 257  # _pair_mass_grid nodes
-FREQ_MAX = 200.0  # _identity_sides_on truncates to |xi| <= FREQ_MAX
-FREQ_ROWS = 8  # frequency-matrix rows built per pass by _identity_sides_on
+FREQ_MAX = 200.0  # _identity_sides truncates to |xi| <= FREQ_MAX
+# rows per block of _identity_sides' quotient matrix, and of its phase
+# matrix, which never takes a one-row block (at least 2 rows, a one-row
+# tail folded into the block before it)
+FREQ_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -581,8 +584,9 @@ FOURIER_TEST_FUNCTIONS = {
 }
 
 
-def _identity_sides_on(n_freq: int) -> Callable:
-    """(f, f_prime) -> both sides of the frequency-domain energy identity.
+def _identity_sides(n_freq: int, funcs) -> list[tuple[float, float]]:
+    """Both sides (lhs, rhs) of the frequency-domain energy identity for
+    each (f, f_prime) of funcs, on one n_freq-node frequency grid.
 
     The transform uses the exponentially tilted function e^t f(t), so that
     f(t) = integral of hat(xi) * exp(-t(1 + i*xi)); the weighted double
@@ -591,15 +595,19 @@ def _identity_sides_on(n_freq: int) -> Callable:
     |xi| <= FREQ_MAX on an n_freq-node Gauss-Legendre grid, the right side is
     a Gauss-Legendre rule of 256 nodes on each half of [0, 1].
 
-    The phase matrix depends only on the grid, so it is built once here and
-    shared by every function passed to the result: 10.2 MB at the check's
-    1250 frequencies, 19.7 MB at its 2400 clamp.  The left side is the real
-    part of the sum of the n_freq x n_freq complex quotient matrix
-    (1+i xi)(1+i xi') hat hat' / (2+i xi+i xi'), which is never held whole:
-    it is built FREQ_ROWS rows at a time, each block's real parts summed by
+    No n_freq x 512 phase matrix is held: e^(i xi t) is built in blocks of
+    max(FREQ_ROWS, 2) rows, a one-row tail joining the block before it, and
+    each block is applied to every function's weighted samples by one BLAS
+    matrix-vector product, so every hat is whole after one pass and has the
+    bits of the whole matrix's product.  A one-row block would not: numpy
+    takes it through its own dot, not BLAS gemv, and nearly every row's bits
+    differ.  The left side is the real part of the sum of the n_freq x
+    n_freq complex quotient matrix (1+i xi)(1+i xi') hat hat' / (2+i xi+i
+    xi'), which is never held whole either: it is built FREQ_ROWS rows at a
+    time in two buffers allocated once, each block's real parts summed by
     np.sum and the block sums merged by math.fsum, so its bits are fixed by
-    FREQ_ROWS, with an error bound no larger than that of one np.sum of
-    the matrix.
+    FREQ_ROWS, with an error bound no larger than that of one np.sum of the
+    matrix.
     """
     nodes, weights = _gauss_legendre(512)
     ts = 0.5 * (nodes + 1.0)  # [0, 1]
@@ -607,30 +615,33 @@ def _identity_sides_on(n_freq: int) -> Callable:
     xi_nodes, xi_w = _gauss_legendre(n_freq)
     xis = FREQ_MAX * xi_nodes
     xiw = FREQ_MAX * xi_w
-    phase = np.empty((n_freq, ts.size), dtype=complex)
-    for r in range(0, n_freq, FREQ_ROWS):
-        np.exp(1j * np.outer(xis[r : r + FREQ_ROWS], ts), out=phase[r : r + FREQ_ROWS])
+    # hat(xi) = (1/2pi) * integral e^t f(t) e^(i t xi) dt
+    samples = [np.exp(ts) * np.asarray(f(ts), dtype=float) * tw for f, _ in funcs]
+    hats = np.empty((len(funcs), n_freq), dtype=complex)
+    cuts = list(range(0, n_freq, max(FREQ_ROWS, 2))) + [n_freq]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]  # a one-row tail joins the block before it
+    for r, stop in zip(cuts, cuts[1:]):
+        phase = np.exp(1j * np.outer(xis[r:stop], ts))
+        for hat, g in zip(hats, samples):
+            hat[r:stop] = phase @ g
+    hats /= 2.0 * np.pi
     a = 1.0 + 1j * xis
+    quotient = np.empty((min(FREQ_ROWS, n_freq), n_freq), dtype=complex)
+    kernel = np.empty_like(quotient)
     half, half_w = _gauss_legendre(256)
     t = 0.25 * (half + 1.0)  # [0, 0.5], then shifted onto [0.5, 1]
-
-    def quotient_sum(u: np.ndarray) -> float:
+    sides = []
+    for hat, (_, f_prime) in zip(hats, funcs):
+        u = a * (xiw * hat)
         sums = []
         for r in range(0, n_freq, FREQ_ROWS):
-            block = np.multiply.outer(u[r : r + FREQ_ROWS], u)
-            block /= np.add.outer(a[r : r + FREQ_ROWS], a)  # in place: two arrays, not three
+            m = min(FREQ_ROWS, n_freq - r)
+            block = np.multiply.outer(u[r : r + m], u, out=quotient[:m])
+            block /= np.add.outer(a[r : r + m], a, out=kernel[:m])
             sums.append(block.real.sum())
-        return math.fsum(sums)
-
-    def sides(f: Callable, f_prime: Callable) -> tuple[float, float]:
-        fv = np.asarray(f(ts), dtype=float)
-        # hat(xi) = (1/2pi) * integral e^t f(t) e^(i t xi) dt
-        hat = phase @ (np.exp(ts) * fv * tw) / (2.0 * np.pi)
-        lhs = quotient_sum(a * (xiw * hat))
         fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
-        rhs = math.fsum(np.tile(0.25 * half_w, 2) * fp**2)
-        return lhs, rhs
-
+        sides.append((math.fsum(sums), math.fsum(np.tile(0.25 * half_w, 2) * fp**2)))
     return sides
 
 
@@ -668,19 +679,21 @@ def fourier_kernel_check(
     decides the verdict: at 3200 |lhs - rhs| reaches 2.8e-3 against the
     default 1e-4 tolerance, at 6400 at most 9.2e-7.  The evaluation is
     deterministic quadrature, so the seed only tags the report for
-    provenance.  The grid holds one n_freq x 512 complex phase matrix, 10.2 MB
-    at the default 1250 frequencies and 19.7 MB at the 2400 clamp; each
-    function's left side adds at most FREQ_ROWS rows of its quotient matrix
-    at a time, and merges the row blocks' sums by math.fsum, so lhs and
-    abs_diff have bits fixed by FREQ_ROWS, not by numpy's summation loop.
+    provenance.  The three functions share one pass over the grid: each
+    block of rows of the phase e^(i xi t), never a one-row block, is built
+    once and applied to all three, and no n_freq x 512 array is held (the
+    sides' tracemalloc peak is about 0.7 MB at the default 1250 frequencies
+    and 1.2 MB at the 2400 clamp).  Each left side adds FREQ_ROWS rows of
+    its quotient matrix at a time and merges the row blocks' sums by
+    math.fsum, so lhs and abs_diff have bits fixed by FREQ_ROWS, not by
+    numpy's summation loop.
     """
     if n_samples < 1:
         raise ParameterConditionError("n_samples must be positive")
     n_freq = int(min(2400, max(400, n_samples // 8)))
-    sides = _identity_sides_on(n_freq)
+    sides = _identity_sides(n_freq, list(FOURIER_TEST_FUNCTIONS.values()))
     entries = []
-    for name, (f, fp) in FOURIER_TEST_FUNCTIONS.items():
-        lhs, rhs = sides(f, fp)
+    for name, (lhs, rhs) in zip(FOURIER_TEST_FUNCTIONS, sides):
         diff = abs(lhs - rhs)
         entries.append(FourierCheckEntry(name, lhs, rhs, diff, diff < tolerance))
     return FourierCheckReport(n_samples, seed, tolerance, tuple(entries))

@@ -114,6 +114,10 @@ def assert_sieve_matches_trial_division(lo, hi):
 )
 @example(lo=30_000, width=70_000, segment=64)  # two wheel periods of 30030
 @example(lo=60_059, width=3, segment=1)  # across 60060 = 2 * 30030
+@example(lo=0, width=30_030, segment=64)  # the odd cells end with the period
+@example(lo=0, width=30_032, segment=64)  # one odd cell past it
+@example(lo=20_001, width=10_029, segment=64)  # mid-period to the period's end
+@example(lo=20_001, width=10_031, segment=64)  # and one odd cell past it
 def test_odd_sieve_matches_trial_division(lo, width, segment):
     # windows cross multiples of 30030 (one wheel period of 15015 odd cells)
     # and many edges of SEGMENT odd cells

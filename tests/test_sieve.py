@@ -568,7 +568,9 @@ class TestBlockedKernels:
         assert sieve._w2_gram(gathered, masks, iter(hits)) == ref
         assert sieve._w2_gram(gathered, masks, map(np.flatnonzero, masks)) == ref
         # the grid core end to end, against both oracles
-        seg = sieve._moment_segment(cfg, lo, hi, False, forms, sieve._Scratch())
+        seg = sieve._moment_segment(
+            cfg, lo, hi, False, forms, cfg.params, cfg.offsets.offsets, sieve._Scratch()
+        )
         assert (seg.count, seg.sum_w2) == (len(w2), leaf_fsum(w2)) and seg.gram == ref
         assert all(map(np.array_equal, seg.masks, masks))
         assert all(np.array_equal(seg.hits(a), idx) for a, idx in enumerate(hits))
@@ -582,7 +584,9 @@ class TestBlockedKernels:
         w2 = w * w
         masks = [table.along(start + h, step, len(w)) for h in (-2, 0, 4)]
         forms = [(1, h) for h in (-2, 0, 4)]
-        seg = sieve._moment_segment(cfg, lo, hi, True, forms, sieve._Scratch())
+        seg = sieve._moment_segment(
+            cfg, lo, hi, True, forms, cfg.params, cfg.offsets.offsets, sieve._Scratch()
+        )
         assert (seg.count, seg.sum_w2) == (len(w2), float(w2.sum()))
         assert seg.gram == mask_and_gram(w2, masks)
         assert all(map(np.array_equal, seg.masks, masks))
@@ -622,7 +626,10 @@ class TestBlockedKernels:
         masks = [table.along(s * start + b, s * step, len(w)) for s, b in forms]
         w2 = w * w
         active = functools.reduce(np.logical_or, masks)
-        seg = sieve._moment_segment(cfg, lo, hi, restrict, forms, sieve._Scratch(), active=True)
+        seg = sieve._moment_segment(
+            cfg, lo, hi, restrict, forms, cfg.params, cfg.offsets.offsets, sieve._Scratch(),
+            active=True,
+        )
         assert (seg.count, seg.sum_w2) == (len(w2), leaf_fsum(w2))
         assert seg.gram == mask_and_gram(w2, masks)
         assert seg.sum_active == leaf_fsum(w2, active)

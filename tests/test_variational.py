@@ -13,7 +13,7 @@ from sievelab.variational import (
     FREQ_MAX,
     KernelParams,
     _gauss_legendre,
-    _identity_sides_on,
+    _identity_sides,
     _pair_mass_grid,
     _scaled_profile,
     closed_forms,
@@ -545,30 +545,33 @@ class TestFourierCheck:
         # the whole matrix cut into blocks of FREQ_ROWS rows, each summed by
         # np.sum and the block sums merged by math.fsum, has the left side's bits
         monkeypatch.setattr(variational, "FREQ_ROWS", rows)
-        sides = _identity_sides_on(n_freq)
-        for f, fp in FOURIER_TEST_FUNCTIONS.values():
+        funcs = list(FOURIER_TEST_FUNCTIONS.values())
+        for (f, fp), got in zip(funcs, _identity_sides(n_freq, funcs), strict=True):
             quotient, rhs = full_matrix_sides(f, fp, n_freq)
             lhs = math.fsum(quotient[r : r + rows].sum() for r in range(0, n_freq, rows))
-            assert sides(f, fp) == (lhs, rhs)
+            assert got == (lhs, rhs)
             # against math.fsum the largest deviation measured over these
             # cases is 2.1e-16, as for one np.sum of the whole matrix
             assert lhs == pytest.approx(math.fsum(quotient.ravel()), rel=1e-15, abs=0)
 
-    # tracemalloc peaks measured 11.0 MB at 1250 frequencies and 20.9 MB at
-    # the 2400 clamp, of which the phase matrix is 10.2 and 19.7 MB; a held
-    # quotient matrix would add 25.0 and 92.2 MB
-    @pytest.mark.parametrize("n_freq, bound", [(1250, 12e6), (2400, 22e6)], ids=["1250", "2400"])
-    def test_sides_hold_the_phase_matrix_and_row_leaves(self, n_freq, bound):
-        _identity_sides_on(n_freq)  # the Gauss-Legendre tables are cached
-        tracemalloc.start()
-        try:
-            sides = _identity_sides_on(n_freq)
-            for f, fp in FOURIER_TEST_FUNCTIONS.values():
-                sides(f, fp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+    # tracemalloc peaks measured 0.74 MB at 1250 frequencies and 1.19 MB at
+    # the 2400 clamp, for the sides and for the whole check alike; a held
+    # n_freq x 512 phase matrix would add 10.2 and 19.7 MB, a held quotient
+    # matrix 25.0 and 92.2 MB
+    @pytest.mark.parametrize("n_samples", [10**4, 19200], ids=["1250", "2400"])
+    def test_check_holds_only_row_blocks(self, n_samples):
+        n_freq = n_samples // 8
+        funcs = list(FOURIER_TEST_FUNCTIONS.values())
+        fourier_kernel_check(n_samples)  # the Gauss-Legendre tables are cached
+        runs = (lambda: _identity_sides(n_freq, funcs), lambda: fourier_kernel_check(n_samples))
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e6
 
     def test_three_functions_pass(self):
         rep = fourier_kernel_check(10**4, seed=0)
@@ -590,30 +593,31 @@ class TestFourierCheck:
             "poly_bump": 0.67481904366620658279,
             "sine_bump": 8.5429583092330349662,
         }
-        for name, (f, fp) in FOURIER_TEST_FUNCTIONS.items():
-            _, rhs = _identity_sides_on(400)(f, fp)
+        sides = _identity_sides(400, list(FOURIER_TEST_FUNCTIONS.values()))
+        for name, (_, rhs) in zip(FOURIER_TEST_FUNCTIONS, sides, strict=True):
             assert abs(rhs - want[name]) < 5e-15, name
 
     def test_zero_function(self):
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        lhs, rhs = _identity_sides_on(400)(zero, zero)
+        [(lhs, rhs)] = _identity_sides(400, [(zero, zero)])
         assert abs(lhs) < 1e-15 and rhs == 0.0
 
     def test_bilinear_scaling(self):
         f, fp = FOURIER_TEST_FUNCTIONS["poly_bump"]
-        sides = _identity_sides_on(600)
-        lhs1, rhs1 = sides(f, fp)
-        lhs2, rhs2 = sides(lambda t: 2 * f(t), lambda t: 2 * fp(t))
+        (lhs1, rhs1), (lhs2, rhs2) = _identity_sides(
+            600, [(f, fp), (lambda t: 2 * f(t), lambda t: 2 * fp(t))]
+        )
         assert abs(lhs2 / lhs1 - 4) < 1e-9
         assert abs(rhs2 / rhs1 - 4) < 1e-9
 
     @pytest.mark.parametrize("n_samples, n_freq", [(1, 400), (10**4, 1250)])
     def test_shared_grid_gives_the_per_function_sides(self, n_samples, n_freq):
-        # the check builds its grid once for all three functions
+        # the check takes all three functions through one pass of the grid;
+        # each one's sides, taken through a pass of its own, are the same
         rep = fourier_kernel_check(n_samples)
         for e, (name, (f, fp)) in zip(rep.entries, FOURIER_TEST_FUNCTIONS.items()):
             assert e.name == name
-            assert (e.lhs, e.rhs) == _identity_sides_on(n_freq)(f, fp)
+            assert [(e.lhs, e.rhs)] == _identity_sides(n_freq, [(f, fp)])
 
     def test_deterministic(self):
         a = fourier_kernel_check(10**4, seed=1)
