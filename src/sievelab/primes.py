@@ -5,8 +5,9 @@ sums-of-two-primes scans, prime-pair difference counts, and normalized
 prime gaps.  Every other module consumes these tables; nothing here knows
 about sieve weights or tuples.
 
-Both correlation kernels are exact and read the odd-prime mask, as 2 is
-the one even prime: sums of two primes by a smallest-prime search, pair
+Both correlation kernels are exact and read only the odd-prime mask of
+sieve_odd_cells, as 2 is the one even prime, taken as prime: no table and
+no prime list.  Sums of two primes by a smallest-prime search, pair
 counts by a blocked FFT autocorrelation whose rounding is checked
 (InvariantViolationError) rather than argued, plus the pairs through 2.
 """
@@ -118,32 +119,10 @@ class PrimeTable:
         return int(np.count_nonzero(self.is_prime))
 
 
-def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
-    """Sieve the half-open range [lo, hi).
-
-    Odd cells are sieved in a scratch array, half the window: it starts
-    from the wheel (15015 odd cells a period), each base prime p > 13
-    crosses off its odd multiples from p*p, SEGMENT odd cells at a time,
-    and one strided assignment writes it into is_prime (2 is set apart).
-    Any lo < hi is taken, a negative lo or a window wholly below 2 too; the
-    cells below 2 are False.  No prime list is built: PrimeTable.primes
-    reads one off the mask.
-
-    The allocated cells (the window length and the sqrt(hi) base-prime
-    sieve both count) may not exceed DEFAULT_SIEVE_BUDGET; more raises
-    ResourceBudgetError.  The odd scratch array leaves that count unchanged.
-
-    Parameters
-    ----------
-    lo, hi : int
-        Range bounds, lo < hi.
-    want_spf : bool
-        Accepted and ignored: perfbench's replays pass it.
-
-    Returns
-    -------
-    PrimeTable
-    """
+def _budget_root(lo: int, hi: int) -> int:
+    """isqrt(hi - 1) for a range lo < hi whose cells fit DEFAULT_SIEVE_BUDGET:
+    the window length and the sqrt(hi) base-prime sieve both count, and more
+    raises ResourceBudgetError before anything is allocated."""
     if hi <= lo:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     root = math.isqrt(max(hi - 1, 0))
@@ -153,10 +132,20 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
             f"sieve_range({lo}, {hi}) needs {cells} cells, over the budget "
             f"DEFAULT_SIEVE_BUDGET = {DEFAULT_SIEVE_BUDGET}; lower --limit or --N"
         )
-    n = hi - lo
-    # odd[j]: o0 + 2j is prime; the wheel strikes the multiples of 3..13
-    o0, h = lo | 1, hi // 2 - lo // 2
-    is_p = np.zeros(n, dtype=bool)  # before the scratch, which keeps peak RSS down
+    return root
+
+
+def sieve_odd_cells(lo: int, hi: int) -> tuple[int, np.ndarray]:
+    """(o0, odd) for the odd values of [lo, hi): odd[j] says o0 + 2j is
+    prime, o0 = lo | 1.  The mask has no cell for 2.
+
+    It starts from the wheel (15015 odd cells a period) and each base prime
+    p > 13 crosses off its odd multiples from p*p, SEGMENT odd cells at a
+    time.  Cells below 2 are False.  The budget is sieve_range's: the window
+    length, not the odd cells alone, counts (ResourceBudgetError).
+    """
+    root = _budget_root(lo, hi)
+    o0, h = lo | 1, hi // 2 - lo // 2  # the wheel strikes the multiples of 3..13
     k = (lo // 2) % _WHEEL.size  # the wheel cell of o0, lo < 0 included
     if k + h <= _WHEEL.size:  # one period covers the table
         odd = _WHEEL[k : k + h].copy()
@@ -173,6 +162,36 @@ def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
             i = (p * max(p, -(-v0 // p) | 1) - o0) // 2
             if i < j1:
                 odd[i:j1:p] = False
+    return o0, odd
+
+
+def sieve_range(lo: int, hi: int, want_spf: bool = False) -> PrimeTable:
+    """Sieve the half-open range [lo, hi).
+
+    The odd cells come from sieve_odd_cells, a scratch array half the
+    window, and one strided assignment writes it into is_prime (2 is set
+    apart).  Any lo < hi is taken, a negative lo or a window wholly below 2
+    too; the cells below 2 are False.  No prime list is built:
+    PrimeTable.primes reads one off the mask.
+
+    The allocated cells (the window length and the sqrt(hi) base-prime
+    sieve both count) may not exceed DEFAULT_SIEVE_BUDGET; more raises
+    ResourceBudgetError.  The odd scratch array leaves that count unchanged.
+
+    Parameters
+    ----------
+    lo, hi : int
+        Range bounds, lo < hi.
+    want_spf : bool
+        Accepted and ignored: perfbench's replays pass it.
+
+    Returns
+    -------
+    PrimeTable
+    """
+    _budget_root(lo, hi)
+    is_p = np.zeros(hi - lo, dtype=bool)  # before the scratch, which keeps peak RSS down
+    o0, odd = sieve_odd_cells(lo, hi)
     is_p[o0 - lo :: 2] = odd
     if lo <= 2 < hi:
         is_p[2 - lo] = True
@@ -200,46 +219,70 @@ def form_masks(forms, start: int, step: int, count: int):
     return masks, (table.hits(first, d, count) for first, d in reads)
 
 
-def goldbach_numbers(limit: int) -> np.ndarray:
-    """All n <= limit expressible as a sum of two primes, ascending.
+def _odd_primes_below(odd: np.ndarray, stop: int):
+    """The odd p < stop that odd marks (odd[i]: 2i + 1), ascending, each
+    found by a short-circuiting argmax, so a walk that stops early reads
+    only the mask's head."""
+    i, end = 1, min(stop // 2, odd.size)  # 2i + 1 < stop
+    while i < end:
+        i += int(np.argmax(odd[i:end]))
+        if not odd[i]:
+            return
+        yield 2 * i + 1
+        i += 1
 
-    Odd n is such a sum exactly when n - 2 is prime.  Apart from 4 = 2 + 2,
-    even n = 2m is a sum of two odd primes p <= n - p, and n - p is prime
-    exactly when odd[m - (p + 1)/2] is set, where odd[i] says 2i + 1 is
-    prime.  So the m are taken in blocks of SEGMENT, and each block ORs in
-    the odd mask shifted by (p + 1)/2 for ascending odd primes p, over the
-    m >= p of the block, as Oliveira e Silva, Herzog and Pardi (Math. Comp.
-    2014) search the smallest prime over segmented bitmaps.  A block stops
-    once every m in it is resolved or p reaches its top: by then each open
-    m has tried every odd prime up to m = n/2, so the result is exact.
+
+def goldbach_numbers(limit: int) -> np.ndarray:
+    """All n <= limit expressible as a sum of two primes, ascending, int32.
+
+    The one input is sieve_odd_cells(0, limit + 1): odd[i] says 2i + 1 is
+    prime.  The mask has no cell for 2, which is taken as prime.  Odd n is
+    such a sum exactly when n - 2 is prime.  Apart from 4 = 2 + 2, even
+    n = 2m is a sum of two odd primes p <= n - p, and n - p is prime
+    exactly when odd[m - (p + 1)/2] is set.  So the m are taken in blocks of
+    SEGMENT, and each block ORs in the odd mask shifted by (p + 1)/2 for
+    ascending odd primes p read off the mask, over the m >= p of the block,
+    as Oliveira e Silva, Herzog and Pardi (Math. Comp. 2014) search the
+    smallest prime over segmented bitmaps.  A block stops once every m in it
+    is resolved or p reaches its top: by then each open m has tried every
+    odd prime up to m = n/2, so the result is exact.
+
+    The values are counted, then written SEGMENT // 16 m at a time into one
+    int32 array, so a block's int64 positions take at most SEGMENT bytes.
+    Every value is at most DEFAULT_SIEVE_BUDGET < 2**31, or the sieve
+    refuses the limit (ResourceBudgetError).
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit < 4:
-        return np.zeros(0, dtype=np.int64)
-    table = sieve_range(0, limit + 1)
-    is_p = table.is_prime
-    odd = np.ascontiguousarray(is_p[1::2])
+        return np.zeros(0, dtype=np.int32)
+    _, odd = sieve_odd_cells(0, limit + 1)
     half = limit // 2 + 1
     even = np.zeros(half, dtype=bool)  # even[m]: 2m is a sum of two primes
     even[2] = True
-    odd_primes = table.primes[1:]
     for m0 in range(0, half, SEGMENT):
         m1 = min(m0 + SEGMENT, half)
         first = max(m0, 3)  # every m in the block below first is decided
-        for p in odd_primes:
-            p = int(p)
-            if p >= m1:
-                break
+        for p in _odd_primes_below(odd, m1):
             a, s = max(first, p), (p + 1) // 2
             even[a:m1] |= odd[a - s : m1 - s]
             first += int(np.argmin(even[first:m1]))  # stops at the first open m
             if even[first]:
                 break
-    reachable = np.zeros(limit + 1, dtype=bool)
-    reachable[::2] = even
-    reachable[5::2] = is_p[3 : limit - 1 : 2]
-    return np.flatnonzero(reachable).astype(np.int64, copy=False)
+    # odd n = 2m + 1 <= limit is a sum when odd[m - 1] is set (n - 2 prime)
+    total = np.count_nonzero(even) + np.count_nonzero(odd[: (limit - 1) // 2])
+    values = np.empty(total, dtype=np.int32)
+    step, at = max(SEGMENT >> 4, 1), 0
+    for b0 in range(0, half, step):
+        v0, v1 = 2 * b0, min(2 * (b0 + step), limit + 1)
+        block = np.zeros(v1 - v0, dtype=bool)  # block[j]: v0 + j is a sum
+        block[::2] = even[b0 : b0 + step]
+        m = max(b0, 1)  # n = 1 is no sum
+        block[2 * m - v0 + 1 :: 2] = odd[m - 1 : v1 // 2 - 1]
+        pos = np.flatnonzero(block)
+        np.add(pos, v0, out=values[at : at + pos.size], casting="unsafe")
+        at += pos.size
+    return values
 
 
 @dataclass
@@ -247,7 +290,7 @@ class GoldbachGapReport:
     """Consecutive gaps in the sums-of-two-primes sequence up to a limit.
 
     The report holds one array, values; gaps is computed from it on each
-    read.  At limit 10^6 that is 578,496 int64 values (4.6 MB), not twice
+    read.  At limit 10^6 that is 578,496 int32 values (2.3 MB), not twice
     that.
     """
 
@@ -265,20 +308,20 @@ class GoldbachGapReport:
 def goldbach_gaps(limit: int) -> GoldbachGapReport:
     """Gaps between consecutive sums-of-two-primes up to limit.
 
-    The differences are taken once, only to find the largest, and are not
-    kept: the report holds values alone.
+    The differences are taken SEGMENT // 16 at a time, only to find the
+    largest and its first occurrence, and are not kept: the report holds
+    values alone, and no second array of their length is ever allocated.
     """
     values = goldbach_numbers(limit)
-    gaps = np.diff(values)
-    if gaps.size == 0:
-        return GoldbachGapReport(limit, values, 0, None)
-    i = int(np.argmax(gaps))
-    return GoldbachGapReport(
-        limit=limit,
-        values=values,
-        max_gap=int(gaps[i]),
-        max_at=(int(values[i]), int(values[i + 1])),
-    )
+    max_gap, at = 0, None
+    step = max(SEGMENT >> 4, 1)
+    for i0 in range(0, values.size - 1, step):
+        gaps = np.diff(values[i0 : i0 + step + 1])
+        i = int(np.argmax(gaps))
+        if gaps[i] > max_gap:  # strictly: a tie keeps the first, as argmax does
+            max_gap, at = int(gaps[i]), i0 + i
+    max_at = None if at is None else (int(values[at]), int(values[at + 1]))
+    return GoldbachGapReport(limit, values, max_gap, max_at)
 
 
 def gap_counts(limit: int, max_diff: int) -> np.ndarray:
@@ -290,8 +333,10 @@ def gap_counts(limit: int, max_diff: int) -> np.ndarray:
     an m with no pair reads 0.  It holds a count per difference, so max_diff
     over MAX_GAP_DIFF raises ResourceBudgetError.
 
-    A pair at odd m is (2, m + 2), read off is_prime.  A pair at even m = 2s
-    is lag s of the odd mask odd[i] = is_prime(2i + 1): blocks of it
+    The pairs are read off the mask of sieve_odd_cells, odd[i] =
+    is_prime(2i + 1), with no full table.  A pair at odd m is (2, m + 2),
+    read off odd[(m + 1)/2]; 2 has no cell and is taken as prime (limit >=
+    2).  A pair at even m = 2s is lag s of the odd mask: blocks of it
     correlate with the block extended by reach = max_diff // 2 cells, by
     real FFT of one power-of-two length n, the first at or above SEGMENT (or
     the mask, if shorter) + reach.  Each block holds n - reach cells, so a
@@ -309,9 +354,8 @@ def gap_counts(limit: int, max_diff: int) -> np.ndarray:
             f"max_diff {max_diff} asks for that many pair counts, over the "
             f"cap MAX_GAP_DIFF = {MAX_GAP_DIFF}; lower --max-diff"
         )
-    table = sieve_range(0, limit + 1)
-    odd = table.is_prime[1::2]  # odd[i]: 2i + 1 is prime
-    # no two odd cells of the table are more than odd.size - 1 lags apart
+    _, odd = sieve_odd_cells(0, limit + 1)  # odd[i]: 2i + 1 is prime
+    # no two odd cells of the mask are more than odd.size - 1 lags apart
     reach = min(max_diff // 2, odd.size - 1)
     total = np.zeros(reach + 1, dtype=np.int64)
     # the transform must hold a block plus every shift of it without
@@ -332,7 +376,7 @@ def gap_counts(limit: int, max_diff: int) -> np.ndarray:
         total += counts.astype(np.int64)
     by_m = np.zeros(max_diff + 1, dtype=np.int64)
     by_m[2 : 2 * reach + 1 : 2] = total[1:]  # m = 2s: lag s of the odd mask
-    through_2 = table.is_prime[3 : max_diff + 3 : 2]  # odd m: only (2, m + 2)
+    through_2 = odd[1 : (max_diff + 3) // 2]  # odd m: only (2, m + 2), odd[(m + 1)/2]
     by_m[1 : 2 * through_2.size : 2] = through_2
     return by_m
 

@@ -161,9 +161,9 @@ def test_prime_list_is_read_off_the_mask(lo, bits):
 
 
 def test_mask_readers_never_list_primes(monkeypatch):
-    # gap counts, cell scans, the Tao check, W-strided moment segments and
-    # primes --stats read only the mask, so no table they sieve holds a
-    # prime list
+    # cell scans, the Tao check, W-strided moment segments and primes
+    # --stats read only the mask, so no table they sieve holds a prime
+    # list; gap counts read the odd cells alone and sieve no table
     tables = []
 
     def recording(lo, hi, **kw):
@@ -172,6 +172,7 @@ def test_mask_readers_never_list_primes(monkeypatch):
 
     monkeypatch.setattr(primes, "sieve_range", recording)  # form_masks and cli read it here
     gap_counts(5000, 100)
+    assert tables == []
     part = cells.split_into_cells((0, 2), 2)
     cells.scan_singleton_cells(part, 3, 5000, min_singletons=2)
     params = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
@@ -184,7 +185,7 @@ def test_mask_readers_never_list_primes(monkeypatch):
         with contextlib.redirect_stdout(out):
             assert cli.main(["primes", "--limit", str(limit), "--stats"]) == 0
         assert out.getvalue().endswith(f"largest_prime,{largest}\n")
-    assert cfg.W > 1 and len(tables) == 8  # one table per call
+    assert cfg.W > 1 and len(tables) == 7  # one table per call
     assert [t.lo for t in tables if "primes" in vars(t)] == []
 
 
@@ -321,6 +322,26 @@ def test_goldbach_numbers_match_fft_oracle(limit, segment):
     assert np.array_equal(got, fft_goldbach_numbers(limit))
 
 
+def thinned_odd_cells(keep):
+    """sieve_odd_cells with the odd primes n where keep[n] is False dropped.
+    The odd mask has no cell for 2: the kernels take 2 as prime whatever
+    keep[2] says, so an oracle keeps 2."""
+    sieve = primes.sieve_odd_cells
+
+    def thinned(lo, hi):
+        o0, odd = sieve(lo, hi)
+        return o0, odd & keep[o0:hi:2]
+
+    return thinned
+
+
+def thinned_two_sums(keep, limit):
+    """Oracle: the sums of two kept primes up to limit, 2 kept."""
+    mask = sieve_range(0, limit + 1).is_prime & keep[: limit + 1]
+    mask[2:3] = True
+    return fft_two_sums(mask)
+
+
 @given(
     st.integers(min_value=0, max_value=600),
     st.integers(min_value=1, max_value=13),
@@ -331,22 +352,78 @@ def test_goldbach_kernel_is_exact_on_thinned_primes(limit, segment, seed):
     # Every even n in 4..600 is a sum of two primes, so against the true
     # primes a kernel that marks too many even n looks right.  Dropping odd
     # primes at random leaves even n that are no such sum, and blocks that
-    # only stop when p reaches their top.
-    sieve = primes.sieve_range
+    # only stop when p reaches their top.  2 has no odd cell and stays a
+    # prime: the kernel reads 4 = 2 + 2 and odd n = 2 + (n - 2)
     keep = np.random.default_rng(seed).random(limit + 3) < 0.6
-    keep[2] = True  # the kernel reads 4 = 2 + 2 and odd n = 2 + (n - 2)
-
-    def thinned(lo, hi):
-        table = sieve(lo, hi)
-        mask = table.is_prime & keep[lo:hi]
-        return primes.PrimeTable(lo, mask)
-
+    keep[2] = True
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "SEGMENT", segment)
-        mp.setattr(primes, "sieve_range", thinned)
+        mp.setattr(primes, "sieve_odd_cells", thinned_odd_cells(keep))
         got = goldbach_numbers(limit)
-        want = fft_two_sums(thinned(0, limit + 1).is_prime)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, thinned_two_sums(keep, limit))
+
+
+@given(
+    st.integers(min_value=0, max_value=600),
+    st.sampled_from([1, 16, 17, 32, 48, 64]),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+@example(limit=200, segment=32, alpha=0.3, seed=2)  # gap 8 after 40, 80 and 170
+@example(limit=600, segment=16, alpha=0.1, seed=5)  # sparse: most gaps past 2
+def test_goldbach_gap_report_matches_diff_across_blocks(limit, segment, alpha, seed):
+    # SEGMENT // 16 = 1..4 values a block, so the largest gap and its ties
+    # cross block edges; thinned primes make gaps past 2 and ties far apart
+    keep = np.random.default_rng(seed).random(limit + 3) < alpha
+    keep[2] = True
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "SEGMENT", segment)
+        mp.setattr(primes, "sieve_odd_cells", thinned_odd_cells(keep))
+        rep = goldbach_gaps(limit)
+    want = thinned_two_sums(keep, limit)
+    assert np.array_equal(rep.values, want)
+    if want.size < 2:
+        assert (rep.max_gap, rep.max_at) == (0, None)
+        return
+    gaps = np.diff(want)
+    i = int(np.argmax(gaps))  # the first of any ties
+    assert rep.max_gap == gaps[i]
+    assert rep.max_at == (want[i], want[i + 1])
+
+
+def test_goldbach_numbers_refuse_a_limit_over_the_budget(monkeypatch):
+    # the odd-cell sieve counts the whole window, as sieve_range does
+    monkeypatch.setattr(primes, "DEFAULT_SIEVE_BUDGET", 10**5)
+    with pytest.raises(ResourceBudgetError, match="DEFAULT_SIEVE_BUDGET = 100000;"):
+        goldbach_numbers(10**5)
+    with pytest.raises(ResourceBudgetError, match="DEFAULT_SIEVE_BUDGET"):
+        goldbach_gaps(2 * 10**5)
+    assert goldbach_numbers(10**5 - 1)[-1] == 10**5 - 2  # 10^5 cells fit the budget
+
+
+def test_goldbach_values_are_int32_below_the_budget():
+    # every value is at most the sieve budget, so raising the budget past
+    # 2**31 would wrap the int32 values silently; this fails first
+    assert primes.DEFAULT_SIEVE_BUDGET < 2**31
+    for limit in (0, 3, 4, 12, 10**5):
+        assert goldbach_numbers(limit).dtype == np.int32
+    assert goldbach_gaps(12).values.dtype == np.int32
+
+
+def test_goldbach_gaps_memory_peak():
+    # the odd mask (0.5 MB), the even half (0.5 MB) and the 578,496 int32
+    # values (2.3 MB), plus blocks; a full table, an int64 value list or a
+    # whole-array diff read 9.3 MB.  4.7 MB measured
+    goldbach_gaps(100)
+    tracemalloc.start()
+    try:
+        rep = goldbach_gaps(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.values.size == 578_496
+    assert peak <= 5.5e6
 
 
 @pytest.mark.parametrize("limit", [4, 5, 6, 2 * SEGMENT + 3])
