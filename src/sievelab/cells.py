@@ -164,7 +164,7 @@ def _cell_count_matrix(part: CellPartition, lo, hi, modulus, residue):
             f"positions = {entries} count entries; the larger exceeds "
             f"SCAN_BUDGET = {SCAN_BUDGET}; narrow --lo/--hi"
         )
-    masks, _ = form_masks([(1, h) for h in part.offsets], ns.start, step, len(ns))
+    masks = form_masks([(1, h) for h in part.offsets], ns.start, step, len(ns))
     per_cell = np.zeros((part.n_cells, len(ns)), dtype=np.int64)
     for a, mask in enumerate(masks):  # the cells split the offsets in order
         per_cell[a // part.cell_size] += mask

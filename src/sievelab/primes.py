@@ -129,7 +129,7 @@ def _budget_root(lo: int, hi: int) -> int:
     cells = max(hi - lo, root)
     if cells > DEFAULT_SIEVE_BUDGET:
         raise ResourceBudgetError(
-            f"sieve_range({lo}, {hi}) needs {cells} cells, over the budget "
+            f"the sieve window [{lo}, {hi}) needs {cells} cells, over the budget "
             f"DEFAULT_SIEVE_BUDGET = {DEFAULT_SIEVE_BUDGET}; lower --limit or --N"
         )
     return root
@@ -209,14 +209,12 @@ def form_reads(forms, start: int, step: int, count: int):
     return sieve_range(min(ends), max(ends) + 1), reads
 
 
-def form_masks(forms, start: int, step: int, count: int):
-    """(masks, hits) on the grid n = start + j*step, j < count: masks[a][j]
-    is whether s*n + b is prime, (s, b) = forms[a], each an along view of
-    form_reads' one table.  hits yields each mask's ascending j on demand
-    (PrimeTable.hits), so a reader of the masks alone never lists primes."""
+def form_masks(forms, start: int, step: int, count: int) -> list[np.ndarray]:
+    """The masks on the grid n = start + j*step, j < count: masks[a][j] is
+    whether s*n + b is prime, (s, b) = forms[a], each an along view of
+    form_reads' one table, so no prime is listed."""
     table, reads = form_reads(forms, start, step, count)
-    masks = [table.along(first, d, count) for first, d in reads]
-    return masks, (table.hits(first, d, count) for first, d in reads)
+    return [table.along(first, d, count) for first, d in reads]
 
 
 def _odd_primes_below(odd: np.ndarray, stop: int):

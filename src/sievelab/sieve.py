@@ -35,7 +35,7 @@ from collections.abc import ItemsView
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -390,31 +390,39 @@ class _Scratch(threading.local):
         return [held[end - n : end] for n, end in zip(sizes, ends)]
 
 
-def _w2_gram(gathered, masks, hits) -> list[list[float]]:
-    """g[a][b] = sum of w2 where masks a and b both hold (g[a][a]: mask a
-    alone), each unordered pair summed once.  gathered[a] is w2 at mask a's
-    hits, ascending, and hits yields those hit positions in turn; read
-    through another mask, gathered[a] keeps the elements of w2[m_a & m_b]
-    in their order, so every entry is bit-identical to that sum."""
+def _w2_gram(gathered, masks, hits) -> tuple[list[list[float]], dict]:
+    """The pair table, the one reader of mask pairs: g[a][b] = sum of w2
+    where masks a and b both hold (g[a][a]: mask a alone), each unordered
+    pair summed once, and meets[a, b] = (count, first j) of those points,
+    a < b, first None if there is none.  gathered[a] is w2 at mask a's hits,
+    ascending, and the iterator hits yields those hit positions in turn;
+    read through another mask, gathered[a] keeps the elements of w2[m_a &
+    m_b] in their order, so every entry is bit-identical to that sum."""
     k = len(masks)
     g = [[0.0] * k for _ in masks]
+    meets = {}
     for a, w2_a in enumerate(gathered):
         g[a][a] = float(w2_a.sum())
-    for a, idx in zip(range(k - 1), hits):  # the last mask's hits are not read
+    for a in range(k - 1):  # the last mask's hits are not read
+        idx = next(hits)
         for b in range(a + 1, k):
-            g[a][b] = g[b][a] = float(gathered[a].compress(masks[b][idx]).sum())
-    return g
+            both = masks[b][idx]  # at mask a's hits: whether b holds too
+            count = int(np.count_nonzero(both))
+            meets[a, b] = count, int(idx[both.argmax()]) if count else None
+            g[a][b] = g[b][a] = float(gathered[a].compress(both).sum())
+            del both  # freed before the next pair's selection is built
+        del idx  # and mask a's hits before the next mask's are listed
+    return g, meets
 
 
 class _Segment(NamedTuple):
-    """The grid core's result on one grid: hits(a) lists mask a's hits."""
+    """The grid core's sums on one grid, with _w2_gram's pair table."""
 
     count: int
     sum_w2: float
-    masks: list
-    hits: Callable[[int], np.ndarray]
     gram: list[list[float]]
-    sum_active: float | None  # w^2 summed where some mask holds
+    meets: dict[tuple[int, int], tuple[int, int | None]]
+    sum_active: float  # w^2 summed where some mask holds; 0.0 unless active
 
 
 def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
@@ -422,7 +430,8 @@ def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
                     active: bool = False) -> _Segment:
     """The grid core on weight_array's grid over [lo, hi], w placed from
     the class table of (R, W, params) on offsets, the masks read by
-    form_reads and the Gram from _w2_gram; sum_active only with active.
+    form_reads and the pair table from _w2_gram, sums and not masks;
+    sum_active is 0.0 without active.
 
     The masks are read first, so a table over the sieve budget is refused
     before any weight is placed.  w^2 is never held whole: the grid is cut
@@ -434,8 +443,9 @@ def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
     (PrimeTable.hits) is copied into one buffer per mask, in order, and the
     later masks are read at those hits, so numpy's sums of those buffers are
     the Gram of the whole-array gathers, bit for bit; a window of one leaf
-    gathers whole and keeps its hits.  With active, w^2 wherever some mask
-    holds is summed per leaf and the leaf sums merged by math.fsum likewise.
+    gathers whole and keeps its hits for _w2_gram, a longer one lists them
+    again over the whole grid.  With active, w^2 wherever some mask holds
+    is summed per leaf and the leaf sums merged by math.fsum likewise.
     The buffers come from scratch.
     """
     start, step, count = _grid(cfg, lo, hi, restrict)
@@ -445,11 +455,10 @@ def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
     progressions = _progressions(classes, start, step)
     n_leaf = min(count, BLOCK)
     one_leaf = count == n_leaf  # then its gathers are whole and need no buffer
-    if one_leaf:
-        hits = [table.hits(first, d, count) for first, d in reads]
-        per_mask = [0] * len(hits)
-    else:
-        per_mask = [int(np.count_nonzero(m)) for m in masks]
+    hits = (table.hits(first, d, count) for first, d in reads)  # listed as _w2_gram reads
+    if one_leaf:  # the one leaf's gathers read them first
+        hits = list(hits)
+    per_mask = [0] * len(masks) if one_leaf else [int(np.count_nonzero(m)) for m in masks]
     w, *gathered = scratch.take("float64", [n_leaf, *per_mask])
     hit = np.empty(n_leaf if active else 0, dtype=bool)
     filled = [0] * len(masks)
@@ -473,14 +482,8 @@ def _moment_segment(cfg: SieveConfig, lo: int, hi: int, restrict: bool, forms,
         return w2.sum(), w2[hit[:n]].sum()
 
     sums = [leaf(j0, min(BLOCK, count - j0)) for j0 in range(0, count, BLOCK)]
-
-    def mask_hits(a: int) -> np.ndarray:
-        """Mask a's hits: the one leaf's, else listed again."""
-        return hits[a] if one_leaf else table.hits(*reads[a], count)
-
-    gram = _w2_gram(gathered, masks, map(mask_hits, range(len(masks))))
-    sum_active = math.fsum(s for _, s in sums) if active else None
-    return _Segment(count, math.fsum(s for s, _ in sums), masks, mask_hits, gram, sum_active)
+    gram, meets = _w2_gram(gathered, masks, iter(hits))
+    return _Segment(count, math.fsum(s for s, _ in sums), gram, meets, math.fsum(s for _, s in sums))
 
 
 def moment_sums(
@@ -508,15 +511,14 @@ def moment_sums(
     forms = [(1, h) for h in offsets]
 
     def segment(ab):
-        seg = _moment_segment(cfg, *ab, restrict, forms, cfg.params, offsets, scratch)
-        return seg.count, seg.sum_w2, seg.gram
+        return _moment_segment(cfg, *ab, restrict, forms, cfg.params, offsets, scratch)
 
     with ThreadPoolExecutor(max_workers=threads) as ex:
         parts = list(ex.map(segment, jobs))
-    n_count = sum(p[0] for p in parts)
-    sum_w2 = math.fsum(p[1] for p in parts)
+    n_count = sum(p.count for p in parts)
+    sum_w2 = math.fsum(p.sum_w2 for p in parts)
     pair = tuple(
-        tuple(math.fsum(p[2][i][j] for p in parts) for j in range(k))
+        tuple(math.fsum(p.gram[i][j] for p in parts) for j in range(k))
         for i in range(k)
     )
     prime_sums = tuple(pair[i][i] for i in range(k))
@@ -580,7 +582,7 @@ def tao_domination_check(
 
     h_i, h_j = cfg.offsets.offsets[i], cfg.offsets.offsets[j]
     n_scanned = max(0, hi - lo + 1)
-    cand = np.logical_and(*form_masks([(1, h_i), (1, h_j)], lo, 1, n_scanned)[0])
+    cand = np.logical_and(*form_masks([(1, h_i), (1, h_j)], lo, 1, n_scanned))
     # both entries must also exceed R: n > R - min(h_i, h_j)
     cand[: max(0, cfg.R - min(h_i, h_j) + 1 - lo)] = False
     checked = np.flatnonzero(cand)
@@ -629,7 +631,9 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     The weight lives on the 2k-point union of the offsets and their
     reflections N - h; n runs unrestricted over [ceil(N/2), N].  Reports
     the hit-weighted sums, their Cauchy-Schwarz pieces split into same-block
-    and cross-block pairs, and the first prime-pair witness.
+    and cross-block pairs, and the prime-pair witnesses, all off the grid
+    core's pair table: witness_count sums its cross pairs' counts, and the
+    witness is the first cross pair (h_i, h_j) with a hit, at its least n.
     """
     if N is None:
         N = cfg.N
@@ -643,26 +647,21 @@ def goldbach_window_scan(cfg: SieveConfig, N: int | None = None) -> GoldbachScan
     seg = _moment_segment(
         cfg, lo, hi, False, forms, cfg.mirror_params, union.offsets, _Scratch(), active=True
     )
-    sum_w2, masks, gram, sum_active = seg.sum_w2, seg.masks, seg.gram, seg.sum_active
     # x(n) hits: x w^2 sums to the Gram's trace, x^2 adds pairs of distinct hits
-    sum_xw2 = math.fsum(gram[a][a] for a in range(2 * k))
+    sum_xw2 = math.fsum(seg.gram[a][a] for a in range(2 * k))
     pairs = [0.0, 0.0]  # ordered pairs inside one block, across the blocks
     for a, b in itertools.permutations(range(2 * k), 2):
-        pairs[(a < k) != (b < k)] += gram[a][b]
+        pairs[(a < k) != (b < k)] += seg.gram[a][b]
     same, mixed = pairs
     sum_x2w2 = sum_xw2 + same + mixed
-    cs = sum_xw2**2 <= sum_active * sum_x2w2 * (1 + 1e-12) + 1e-300
-    witness, witness_count = None, 0
-    for i in range(k):
-        at = seg.hits(i)  # a gather of the mirrored views, not an AND
-        for j in range(k):
-            both = np.compress(masks[k + j][at], at)
-            witness_count += both.size
-            if both.size and witness is None:
-                witness = (lo + int(both[0]), base[i], base[j])
+    cs = sum_xw2**2 <= seg.sum_active * sum_x2w2 * (1 + 1e-12) + 1e-300
+    # the cross pairs (i, k + j) in row order: n + h_i and N - n - h_j prime
+    cross = [(*seg.meets[i, k + j], base[i], base[j]) for i in range(k) for j in range(k)]
+    witness_count = sum(count for count, *_ in cross)
+    witness = next(((lo + first, h_i, h_j) for count, first, h_i, h_j in cross if count), None)
     return GoldbachScanReport(
-        N=N, n_lo=lo, n_hi=hi, union=union, sum_w2=sum_w2,
-        sum_w2_active=sum_active, sum_xw2=sum_xw2, sum_x2w2=sum_x2w2,
+        N=N, n_lo=lo, n_hi=hi, union=union, sum_w2=seg.sum_w2,
+        sum_w2_active=seg.sum_active, sum_xw2=sum_xw2, sum_x2w2=sum_x2w2,
         pair_sum_same=same, pair_sum_mixed=mixed, cs_holds=bool(cs),
         witness=witness, witness_count=witness_count,
     )

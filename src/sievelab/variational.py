@@ -603,11 +603,11 @@ def _identity_sides(n_freq: int, funcs) -> list[tuple[float, float]]:
     takes it through its own dot, not BLAS gemv, and nearly every row's bits
     differ.  The left side is the real part of the sum of the n_freq x
     n_freq complex quotient matrix (1+i xi)(1+i xi') hat hat' / (2+i xi+i
-    xi'), which is never held whole either: it is built FREQ_ROWS rows at a
-    time in two buffers allocated once, each block's real parts summed by
-    np.sum and the block sums merged by math.fsum, so its bits are fixed by
-    FREQ_ROWS, with an error bound no larger than that of one np.sum of the
-    matrix.
+    xi'), which is never held whole either: FREQ_ROWS rows at a time, in
+    two buffers allocated once, one block of 2+i xi+i xi' divides every
+    function's block, whose real parts np.sum sums; math.fsum merges the
+    block sums, so the bits are fixed by FREQ_ROWS, with an error bound no
+    larger than that of one np.sum of the matrix.
     """
     nodes, weights = _gauss_legendre(512)
     ts = 0.5 * (nodes + 1.0)  # [0, 1]
@@ -627,21 +627,23 @@ def _identity_sides(n_freq: int, funcs) -> list[tuple[float, float]]:
             hat[r:stop] = phase @ g
     hats /= 2.0 * np.pi
     a = 1.0 + 1j * xis
+    us = a * (xiw * hats)
     quotient = np.empty((min(FREQ_ROWS, n_freq), n_freq), dtype=complex)
     kernel = np.empty_like(quotient)
+    sums = [[] for _ in funcs]
+    for r in range(0, n_freq, FREQ_ROWS):
+        m = min(FREQ_ROWS, n_freq - r)
+        denom = np.add.outer(a[r : r + m], a, out=kernel[:m])
+        for u, u_sums in zip(us, sums):
+            block = np.multiply.outer(u[r : r + m], u, out=quotient[:m])
+            block /= denom
+            u_sums.append(block.real.sum())
     half, half_w = _gauss_legendre(256)
     t = 0.25 * (half + 1.0)  # [0, 0.5], then shifted onto [0.5, 1]
     sides = []
-    for hat, (_, f_prime) in zip(hats, funcs):
-        u = a * (xiw * hat)
-        sums = []
-        for r in range(0, n_freq, FREQ_ROWS):
-            m = min(FREQ_ROWS, n_freq - r)
-            block = np.multiply.outer(u[r : r + m], u, out=quotient[:m])
-            block /= np.add.outer(a[r : r + m], a, out=kernel[:m])
-            sums.append(block.real.sum())
+    for u_sums, (_, f_prime) in zip(sums, funcs):
         fp = np.asarray(f_prime(np.concatenate((t, t + 0.5))), dtype=float)
-        sides.append((math.fsum(sums), math.fsum(np.tile(0.25 * half_w, 2) * fp**2)))
+        sides.append((math.fsum(u_sums), math.fsum(np.tile(0.25 * half_w, 2) * fp**2)))
     return sides
 
 

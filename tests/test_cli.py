@@ -119,6 +119,13 @@ class TestExitCodes:
     def test_resource_budget_exit_3(self):
         code, _, err = run_cli(["density", "--limit", "1e10"])
         assert code == 3 and "budget" in err
+        # the Goldbach kernel sieves odd cells alone; the refusal names its window
+        code, out, err = run_cli(["primes", "--limit", "3e8", "--goldbach-gaps"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "resource budget exceeded: the sieve window [0, 300000001) needs 300000001 "
+            "cells, over the budget DEFAULT_SIEVE_BUDGET = 200000000; lower --limit or --N\n"
+        )
 
     def test_goldbach_scan_refuses_its_table_before_placing_weights(self):
         # N/2 weights at N = 4e9 are 14.9 GiB: under a 2 GiB address-space
@@ -135,7 +142,7 @@ class TestExitCodes:
         )
         assert (out.returncode, out.stdout) == (3, "")
         assert out.stderr == (
-            "resource budget exceeded: sieve_range(-2, 4000000003) needs 4000000005 "
+            "resource budget exceeded: the sieve window [-2, 4000000003) needs 4000000005 "
             "cells, over the budget DEFAULT_SIEVE_BUDGET = 200000000; lower --limit or --N\n"
         )
 
@@ -573,6 +580,9 @@ PINNED_STDOUT = {
     # of the mirrored 6-point union
     "goldbach-scan --N 2e4 --delta 0.45 --tuple 0,2,6 --base 1.05 --slope 3 --cutoff 4":
         "69ea2f43d2bc54f4ce7030cb04bbc2c0ab54b9cc30300871af6667cd342a2d06",
+    # R = 398 and 300,001 points: the grid core runs three BLOCK leaves
+    "goldbach-scan --N 6e5 --delta 0.45 --tuple 0,2,6 --base 1.05 --slope 3 --cutoff 4":
+        "3b58df85ee0d2ae9139b1ccca47ba5e5dc1cc604ac44b43d304afbc5de2f88d7",
 }
 
 

@@ -498,8 +498,18 @@ def whole_array_weights(cfg, lo, hi, restrict=True):
 
 
 def mask_and_gram(w2, masks):
-    """Oracle for _w2_gram: sum w2 over each pair's AND of masks."""
+    """Oracle for _w2_gram's Gram: sum w2 over each pair's AND of masks."""
     return [[float(w2[m_a & m_b].sum()) for m_b in masks] for m_a in masks]
+
+
+def mask_and_meets(masks):
+    """Oracle for _w2_gram's pair hits: for each pair a < b, the count and
+    the least j of the AND of their masks (None when it is empty)."""
+    meets = {}
+    for a, b in itertools.combinations(range(len(masks)), 2):
+        both = np.flatnonzero(masks[a] & masks[b])
+        meets[a, b] = both.size, int(both[0]) if both.size else None
+    return meets
 
 
 def leaf_fsum(w2, keep=None):
@@ -556,24 +566,24 @@ class TestBlockedKernels:
         forms = [(1, h) for h in offsets]
         table = sieve_range(lo + offsets[0], hi + offsets[-1] + 1)
         masks = [table.along(lo + h, 1, size) for h in offsets]
-        core_masks, hits = primes.form_masks(forms, lo, 1, size)
-        hits = list(hits)
+        hits = [table.hits(lo + h, 1, size) for h in offsets]
+        core_masks = primes.form_masks(forms, lo, 1, size)
         for idx, mask, core_mask in zip(hits, masks, core_masks, strict=True):
             assert np.array_equal(core_mask, mask)
             assert np.array_equal(idx, np.flatnonzero(mask))
         _, _, w = whole_array_weights(cfg, lo, hi, restrict=False)
         w2 = w * w
-        ref = mask_and_gram(w2, masks)
+        ref, ref_meets = mask_and_gram(w2, masks), mask_and_meets(masks)
         gathered = [w2[idx] for idx in hits]
-        assert sieve._w2_gram(gathered, masks, iter(hits)) == ref
-        assert sieve._w2_gram(gathered, masks, map(np.flatnonzero, masks)) == ref
+        assert sieve._w2_gram(gathered, masks, iter(hits)) == (ref, ref_meets)
+        assert sieve._w2_gram(gathered, masks, map(np.flatnonzero, masks)) == (ref, ref_meets)
+        assert all(count > 0 for count, _ in ref_meets.values())
         # the grid core end to end, against both oracles
         seg = sieve._moment_segment(
             cfg, lo, hi, False, forms, cfg.params, cfg.offsets.offsets, sieve._Scratch()
         )
         assert (seg.count, seg.sum_w2) == (len(w2), leaf_fsum(w2)) and seg.gram == ref
-        assert all(map(np.array_equal, seg.masks, masks))
-        assert all(np.array_equal(seg.hits(a), idx) for a, idx in enumerate(hits))
+        assert seg.meets == ref_meets
 
     @pytest.mark.parametrize("lo, hi", [(1, 3000), (1, 200000)])
     def test_restricted_segment_equals_oracles(self, lo, hi):
@@ -589,7 +599,7 @@ class TestBlockedKernels:
         )
         assert (seg.count, seg.sum_w2) == (len(w2), float(w2.sum()))
         assert seg.gram == mask_and_gram(w2, masks)
-        assert all(map(np.array_equal, seg.masks, masks))
+        assert seg.meets == mask_and_meets(masks)
 
     @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
     @pytest.mark.parametrize("block", [1, 7, 64, None])
@@ -632,6 +642,7 @@ class TestBlockedKernels:
         )
         assert (seg.count, seg.sum_w2) == (len(w2), leaf_fsum(w2))
         assert seg.gram == mask_and_gram(w2, masks)
+        assert seg.meets == mask_and_meets(masks)
         assert seg.sum_active == leaf_fsum(w2, active)
         # against math.fsum the largest deviations measured over these cases
         # are 1.9e-16 (sum of w^2) and 1.6e-16 (active sum); numpy's
@@ -657,12 +668,12 @@ class TestBlockedKernels:
             return sieve_range(lo, hi, **kw)
 
         monkeypatch.setattr(primes, "sieve_range", spy)
-        masks, hits = primes.form_masks(forms, start, 1, count)
+        masks = primes.form_masks(forms, start, 1, count)
         assert calls == [(min(values), max(values) + 1)]
-        for (s, b), mask, idx in zip(forms, masks, hits, strict=True):
+        for (s, b), mask in zip(forms, masks, strict=True):
             ref = table.along(s * start + b, s, count)
             assert np.array_equal(mask, ref)
-            assert np.array_equal(idx, np.flatnonzero(ref))
+            assert np.array_equal(table.hits(s * start + b, s, count), np.flatnonzero(mask))
 
 
     def test_mirrored_masks_are_views_of_one_table(self, monkeypatch):
@@ -676,7 +687,7 @@ class TestBlockedKernels:
         monkeypatch.setattr(primes, "sieve_range", spy)
         N = 2000
         forms = [(1, 0), (1, 2), (-1, N), (-1, N - 2)]
-        masks, _ = primes.form_masks(forms, N // 2, 1, N // 2 + 1)
+        masks = primes.form_masks(forms, N // 2, 1, N // 2 + 1)
         (table,) = tables
         assert (table.lo, table.hi) == (-2, N + 3)
         for mask in masks:
@@ -745,7 +756,7 @@ class TestMomentSums:
 
     def test_one_segment_holds_no_window_length_weight_array(self):
         # the k = 3 sieve-window config over one unrestricted segment of
-        # 2^21 n: tracemalloc peaks measured 10.6 MB here and 23.9 MB with
+        # 2^21 n: tracemalloc peaks measured 10.0 MB here and 23.9 MB with
         # a whole-segment w^2 (16.8 MB) placed
         p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
         cfg = sieve.make_config(2 * 10**7, delta=0.25, offsets=(0, 2, 6), params=p)
@@ -1009,17 +1020,23 @@ class TestGoldbachScan:
         assert table.is_prime_at(cfg.N - n - hj)
         assert (n + hi) + (cfg.N - n - hj) == cfg.N - hj + hi
 
-    def test_witness_count_matches_brute(self):
-        cfg, rep = self.scan(N=2000, delta=0.35)
-        table = sieve_range(2, 2 * cfg.N + 2)
-        count = 0
-        for n in range((cfg.N + 1) // 2, cfg.N + 1):
-            for hi in cfg.offsets:
-                for hj in cfg.offsets:
-                    a, b = n + hi, cfg.N - n - hj
-                    if b >= 2 and table.is_prime_at(a) and table.is_prime_at(b):
-                        count += 1
-        assert rep.witness_count == count
+    @pytest.mark.parametrize("block", [7, 64, None])
+    @pytest.mark.parametrize("N", [1000, 1998, 2000])
+    def test_witness_count_matches_brute(self, monkeypatch, block, N):
+        # at BLOCK = 7 and 64 the grid core runs many leaves; the witness is
+        # the first (h_i, h_j) in row order with a prime pair, at its least n
+        if block is not None:
+            monkeypatch.setattr(sieve, "BLOCK", block)
+        cfg, _ = self.scan(N=2000, delta=0.35)
+        rep = sieve.goldbach_window_scan(cfg, N=N)
+        count, witness = 0, None
+        for hi, hj in itertools.product(cfg.offsets, repeat=2):
+            for n in range((N + 1) // 2, N + 1):
+                if trial_division_prime(n + hi) and trial_division_prime(N - n - hj):
+                    count += 1
+                    witness = witness or (n, hi, hj)
+        assert (rep.witness_count, rep.witness) == (count, witness)
+        assert witness is not None
 
     def test_table_stops_at_largest_value_read(self, monkeypatch):
         # n + h with n <= N is the largest value read; the mirrored N - n - h
@@ -1085,7 +1102,7 @@ class TestGoldbachScan:
 
     def test_scan_holds_no_window_length_weight_array(self):
         # goldbach-scan --N 4e6 --tuple 0,2,6 --base 1.1 --slope 3 --cutoff
-        # 2.9: tracemalloc peaks measured 17.7 MB here and 26.9 MB with the
+        # 2.9: tracemalloc peaks measured 16.5 MB here and 26.9 MB with the
         # window's w^2 (16 MB) and its active gather placed whole
         p = KernelParams(k=3, base=1.1, slope=3.0, cutoff=2.9)
         cfg = sieve.make_config(4 * 10**6, delta=0.25, offsets=(0, 2, 6), params=p)
